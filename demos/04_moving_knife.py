@@ -11,7 +11,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from dpfair import PrivacyParams, RandomStream, UtilityProfile, dp_moving_knife, is_prop_c
+from dpfair import (
+    PrivacyParams,
+    RandomStream,
+    UtilityProfile,
+    dp_moving_knife,
+    is_prop_c,
+    min_prop_c,
+)
 from dpfair.prop_knife import budget_schedule, exact_budget_total, proof_chain_c
 
 rng = np.random.default_rng(11)
@@ -52,5 +59,4 @@ failures = sum(
 )
 print(f"failures at c={c} over 200 seeded runs: {failures}")
 
-best = min(c for c in range(m + 1) if is_prop_c(profile, allocation, c))
-print(f"the seed-3 run above is in fact PROP{best}")
+print(f"the seed-3 run above is in fact PROP{min_prop_c(profile, allocation)}")

@@ -9,7 +9,6 @@ privacy/fairness auditor.
 
 from .core import (
     Adjacency,
-    Allocation,
     ConnectedAllocation,
     EnumerationCapError,
     PrivacyParams,
@@ -19,6 +18,8 @@ from .core import (
     is_ef_c,
     is_ef_d_wrt_truncated,
     is_prop_c,
+    min_ef_c,
+    min_prop_c,
     top_k_utility,
     truncated_utility,
 )
@@ -42,7 +43,6 @@ from .prop_knife import (
 
 __all__ = [
     "Adjacency",
-    "Allocation",
     "ConnectedAllocation",
     "EfRunReport",
     "EnumerationCapError",
@@ -65,6 +65,8 @@ __all__ = [
     "is_ef_c",
     "is_ef_d_wrt_truncated",
     "is_prop_c",
+    "min_ef_c",
+    "min_prop_c",
     "proof_chain_c",
     "sample_laplace",
     "score",

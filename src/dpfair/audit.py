@@ -24,7 +24,8 @@ from .core import (
     is_ef_c,
     is_prop_c,
 )
-from .mechanisms import RandomStream
+from .ef_em import DEFAULT_ENUMERATION_CAP
+from .mechanisms import RandomStream, monte_carlo_count
 from .oracles import exact_em_distribution
 from .prop_knife import KnifeTrace
 
@@ -97,7 +98,7 @@ def exact_em_ratio_check(
     p1: UtilityProfile,
     p2: UtilityProfile,
     params: PrivacyParams,
-    enumeration_cap: int = 10**7,
+    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     g: Optional[int] = None,
 ) -> RatioReport:
     """Exact privacy-ratio audit of the envy-free allocator on two profiles.
@@ -272,18 +273,14 @@ def anti_concentration_check(
         threshold = k / 2 + 0.1 * math.sqrt(k * math.log(gamma))
     else:
         threshold = k / 2 - 0.1 * math.sqrt(k)
-    hits = 0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        batch = min(_ANTI_CONCENTRATION_CHUNK, trials - done)
-        sums = stream.child(chunk_index).generator.binomial(k, 0.5, size=batch)
+
+    def count(generator: np.random.Generator, batch: int) -> int:
+        sums = generator.binomial(k, 0.5, size=batch)
         if lemma == "2.10":
-            hits += int(np.sum(sums < threshold))
-        else:
-            hits += int(np.sum(sums > threshold))
-        done += batch
-        chunk_index += 1
+            return int(np.sum(sums < threshold))
+        return int(np.sum(sums > threshold))
+
+    hits = monte_carlo_count(stream, trials, _ANTI_CONCENTRATION_CHUNK, count)
     return _empirical(hits, trials)
 
 

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 
 GENERAL_TABLE_MAX_ITEMS = 16
@@ -179,53 +179,16 @@ class ConnectedAllocation:
     def bundles(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.bundle(i) for i in range(1, self.n + 1))
 
-    def to_owner_array(self) -> "Allocation":
-        owners = [0] * self.m
-        for i, span in enumerate(self.spans, start=1):
-            if span is None:
-                continue
-            for j in range(span[0], span[1] + 1):
-                owners[j - 1] = i
-        return Allocation(n=self.n, owners=tuple(owners))
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """An arbitrary (not necessarily connected) item-to-agent assignment."""
-
-    n: int
-    owners: tuple[int, ...]  # owners[j-1] in [1, n]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("need at least one agent")
-        if any(o < 1 or o > self.n for o in self.owners):
-            raise ValueError("every item must be owned by an agent in [1, n]")
-
-    @property
-    def m(self) -> int:
-        return len(self.owners)
-
-    def bundle(self, agent: int) -> tuple[int, ...]:
-        return tuple(j + 1 for j, o in enumerate(self.owners) if o == agent)
-
-    def bundles(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.n)]
-        for j, o in enumerate(self.owners, start=1):
-            out[o - 1].append(j)
-        return tuple(tuple(b) for b in out)
-
-
-AnyAllocation = Union[ConnectedAllocation, Allocation]
-
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """Privacy budget and failure probability for the private allocators."""
+    """Privacy budget and failure probability for the private allocators.
+
+    Both allocators are private under agent-by-item adjacency.
+    """
 
     epsilon: float
     beta: float = 0.1
-    adjacency: Adjacency = Adjacency.AGENT_ITEM_LEVEL
     svt_constant: float = 16.0  # accuracy constant of the threshold mechanism
 
     def __post_init__(self):
@@ -334,7 +297,9 @@ def top_k_utility(profile: UtilityProfile, agent: int, items: Iterable[int], k: 
     return Fraction(scaled_top_k(profile, agent, items, k), profile.scale)
 
 
-def _bundles_for(profile: UtilityProfile, allocation: AnyAllocation) -> tuple[tuple[int, ...], ...]:
+def _bundles_for(
+    profile: UtilityProfile, allocation: ConnectedAllocation
+) -> tuple[tuple[int, ...], ...]:
     if allocation.n != profile.n:
         raise ValueError("allocation and profile disagree on the number of agents")
     if allocation.m != profile.m:
@@ -342,7 +307,7 @@ def _bundles_for(profile: UtilityProfile, allocation: AnyAllocation) -> tuple[tu
     return allocation.bundles()
 
 
-def is_ef_c(profile: UtilityProfile, allocation: AnyAllocation, c: int) -> bool:
+def is_ef_c(profile: UtilityProfile, allocation: ConnectedAllocation, c: int) -> bool:
     """Envy-freeness up to ``c`` items, checked exactly.
 
     Agent ``i`` accepts agent ``i``'s own bundle against ``i'`` when some set
@@ -363,7 +328,7 @@ def is_ef_c(profile: UtilityProfile, allocation: AnyAllocation, c: int) -> bool:
     return True
 
 
-def is_prop_c(profile: UtilityProfile, allocation: AnyAllocation, c: int) -> bool:
+def is_prop_c(profile: UtilityProfile, allocation: ConnectedAllocation, c: int) -> bool:
     """Proportionality up to ``c`` items, checked exactly.
 
     The comparison ``u_i(A_i) + top_c(M \\ A_i) >= u_i(M) / n`` is evaluated
@@ -385,8 +350,35 @@ def is_prop_c(profile: UtilityProfile, allocation: AnyAllocation, c: int) -> boo
     return True
 
 
+def _least_c(check, profile: UtilityProfile, allocation: ConnectedAllocation) -> int:
+    # Bisection over [0, m] on a predicate that is monotone in c; m + 1 when
+    # even c = m fails.
+    lo, hi = 0, profile.m + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if check(profile, allocation, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def min_ef_c(profile: UtilityProfile, allocation: ConnectedAllocation) -> int:
+    """Least c for which :func:`is_ef_c` holds; EF-m always holds, so at most m."""
+    return _least_c(is_ef_c, profile, allocation)
+
+
+def min_prop_c(profile: UtilityProfile, allocation: ConnectedAllocation) -> int:
+    """Least c in ``[0, m]`` for which :func:`is_prop_c` holds, or ``m + 1``.
+
+    ``m + 1`` means no c works, which only a non-subadditive general table
+    can cause: there ``u_i(A_i) + u_i(M \\ A_i)`` may fall below ``u_i(M) / n``.
+    """
+    return _least_c(is_prop_c, profile, allocation)
+
+
 def is_ef_d_wrt_truncated(
-    profile: UtilityProfile, allocation: AnyAllocation, d: int, k: int
+    profile: UtilityProfile, allocation: ConnectedAllocation, d: int, k: int
 ) -> bool:
     """Envy-freeness up to ``d`` items measured under ``k``-truncated utilities.
 

@@ -86,6 +86,23 @@ def connected_allocation_tuple(m: int, n: int) -> tuple[ConnectedAllocation, ...
     return tuple(enumerate_connected_allocations(m, n))
 
 
+def capped_candidates(
+    profile: UtilityProfile, enumeration_cap: int
+) -> tuple[ConnectedAllocation, ...]:
+    """Every connected allocation of the profile's shape, refusing oversized sets.
+
+    Raises :class:`EnumerationCapError` when there are more than
+    ``enumeration_cap`` candidates; a silently truncated candidate set would
+    void both the privacy guarantee and every exhaustive oracle.
+    """
+    count = count_connected_allocations(profile.m, profile.n)
+    if count > enumeration_cap:
+        raise EnumerationCapError(
+            f"{count} connected allocations exceed the enumeration cap {enumeration_cap}"
+        )
+    return connected_allocation_tuple(profile.m, profile.n)
+
+
 def score(profile: UtilityProfile, allocation: ConnectedAllocation, g: int) -> int:
     """Score in ``[-g, -1]``: minus the least truncation budget that works.
 
@@ -128,26 +145,20 @@ def dp_ef_allocate(
     within ``2 * log(count / beta) / epsilon`` of the best score and is
     envy-free up to ``3g/2`` items.  The candidate set is the set of
     distinct connected allocations, which is exponential in ``n``; the
-    enumeration cap turns oversized instances into a hard error rather
-    than silently truncating the candidate set (which would void the
-    privacy guarantee).
+    enumeration cap turns oversized instances into a hard error (see
+    :func:`capped_candidates`).
     """
     if profile.m < 1:
         raise ValueError("allocator needs at least one item")
-    count = count_connected_allocations(profile.m, profile.n)
-    if count > enumeration_cap:
-        raise EnumerationCapError(
-            f"{count} connected allocations exceed the enumeration cap {enumeration_cap}"
-        )
+    candidates = capped_candidates(profile, enumeration_cap)
     g = scoring_truncation_budget(profile.m, profile.n, params.epsilon, params.beta)
-    candidates = connected_allocation_tuple(profile.m, profile.n)
     scores = [score(profile, allocation, g) for allocation in candidates]
     index = exponential_mechanism(stream, candidates, scores, params.epsilon)
     return EfRunReport(
         allocation=candidates[index],
         g=g,
         score=scores[index],
-        candidate_count=count,
+        candidate_count=len(candidates),
         epsilon=params.epsilon,
         beta=params.beta,
     )

@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Adjacency, UtilityProfile, adjacency_distance
-from .mechanisms import RandomStream
+from .core import Adjacency, UtilityProfile, adjacency_distance, is_ef_c, is_prop_c
+from .mechanisms import RandomStream, monte_carlo_count
 
 _MC_CHUNK = 1024  # trials per derived substream in vectorized experiments
 
@@ -228,32 +228,25 @@ def small_bundle_profile_experiment(
     if variant == "ef" and any(size < bundle_size for size in sizes):
         raise ValueError("the EF experiment needs every bundle >= bundle_size")
     boundaries = np.cumsum([0] + sizes)
-    violations = 0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        batch = min(_MC_CHUNK, trials - done)
+
+    def count(generator: np.random.Generator, batch: int) -> int:
         # int8 rows keep the chunk small even at m = 40000; sums accumulate in int64
-        rows = stream.child(chunk_index).generator.integers(
-            0, 2, size=(batch, m), dtype=np.int8
-        )
+        rows = generator.integers(0, 2, size=(batch, m), dtype=np.int8)
         own = rows[:, : boundaries[1]].sum(axis=1, dtype=np.int64)
         total = rows.sum(axis=1, dtype=np.int64)
         if variant == "prop":
             outside = total - own
             best_outside = np.minimum(c, outside)
-            violations += int(np.sum(n * (own + best_outside) < total))
-        else:
-            bad = np.zeros(batch, dtype=bool)
-            for other in range(1, n):
-                counts = rows[:, boundaries[other] : boundaries[other + 1]].sum(
-                    axis=1, dtype=np.int64
-                )
-                bad |= counts - np.minimum(c, counts) > own
-            violations += int(np.sum(bad))
-        done += batch
-        chunk_index += 1
-    return violations / trials
+            return int(np.sum(n * (own + best_outside) < total))
+        bad = np.zeros(batch, dtype=bool)
+        for other in range(1, n):
+            counts = rows[:, boundaries[other] : boundaries[other + 1]].sum(
+                axis=1, dtype=np.int64
+            )
+            bad |= counts - np.minimum(c, counts) > own
+        return int(np.sum(bad))
+
+    return monte_carlo_count(stream, trials, _MC_CHUNK, count) / trials
 
 
 @dataclass(frozen=True)
@@ -286,8 +279,6 @@ def search_agent_level_witness(
     agent.  The averaging argument behind the lower bounds guarantees a
     good witness exists; it does not exhibit one, hence the search.
     """
-    from .core import is_ef_c, is_prop_c  # local import avoids a cycle at module load
-
     if criterion not in ("ef", "prop"):
         raise ValueError("criterion must be 'ef' or 'prop'")
     check = is_ef_c if criterion == "ef" else is_prop_c

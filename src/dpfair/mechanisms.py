@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -77,6 +77,17 @@ def sample_laplace(stream: RandomStream, scale: float) -> float:
     return -scale * math.copysign(1.0, p) * math.log1p(-2.0 * abs(p))
 
 
+def em_weights(scores: Sequence[float], epsilon: float) -> np.ndarray:
+    """Unnormalized exponential-mechanism weights exp(epsilon * (s - max s) / 2).
+
+    Selection probabilities are invariant under a common shift of the
+    scores, and shifting by the maximum keeps the top weight at 1 so it can
+    never underflow.
+    """
+    shifted = np.asarray(scores, dtype=np.float64)
+    return np.exp(epsilon * (shifted - shifted.max()) / 2.0)
+
+
 def exponential_mechanism(
     stream: RandomStream,
     candidates: Sequence,
@@ -85,10 +96,8 @@ def exponential_mechanism(
 ) -> int:
     """Select an index with probability proportional to exp(epsilon * score / 2).
 
-    The caller guarantees each score has sensitivity at most 1.  Scores are
-    shifted by their maximum before exponentiating -- selection
-    probabilities are invariant under a common shift, and the shift keeps
-    the top candidate's weight at 1 so it can never underflow.
+    The caller guarantees each score has sensitivity at most 1.  Weights
+    come from :func:`em_weights`.
     """
     if len(candidates) == 0:
         raise ValueError("candidate list must be nonempty")
@@ -96,10 +105,7 @@ def exponential_mechanism(
         raise ValueError("need exactly one score per candidate")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    shifted = np.asarray(scores, dtype=np.float64)
-    shifted = shifted - shifted.max()
-    weights = np.exp(epsilon * shifted / 2.0)
-    cumulative = np.cumsum(weights)
+    cumulative = np.cumsum(em_weights(scores, epsilon))
     u = stream.generator.random() * cumulative[-1]
     index = int(np.searchsorted(cumulative, u, side="right"))
     return min(index, len(candidates) - 1)
@@ -129,3 +135,21 @@ def above_threshold(
         if value + nu >= tau + rho:
             return SvtOutcome(index=index, queries_consumed=consumed)
     return SvtOutcome(index=None, queries_consumed=consumed)
+
+
+def monte_carlo_count(
+    stream: RandomStream,
+    trials: int,
+    chunk: int,
+    count: Callable[[np.random.Generator, int], int],
+) -> int:
+    """Sum of ``count(generator, batch)`` over ``trials`` split into chunks.
+
+    Chunk ``i`` holds at most ``chunk`` trials and draws from
+    ``stream.child(i)``, so vectorized experiments replay identically for a
+    fixed chunk size.
+    """
+    hits = 0
+    for chunk_index, done in enumerate(range(0, trials, chunk)):
+        hits += count(stream.child(chunk_index).generator, min(chunk, trials - done))
+    return hits

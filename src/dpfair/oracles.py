@@ -13,24 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .core import (
     ConnectedAllocation,
-    EnumerationCapError,
     PrivacyParams,
     UtilityProfile,
     is_ef_c,
-    is_prop_c,
+    is_prop_c,  # not called here; bench/tracing.py expects it bound in this module
+    min_ef_c,
+    min_prop_c,
 )
 from .ef_em import (
     DEFAULT_ENUMERATION_CAP,
-    connected_allocation_tuple,
-    count_connected_allocations,
+    capped_candidates,
+    connected_allocation_tuple,  # not called here; bench/tracing.py expects it bound in this module
     enumerate_connected_allocations,
     score,
     scoring_truncation_budget,
 )
+from .mechanisms import em_weights
 from .prop_knife import f_value
 
 SENSITIVITY_UNIVERSE_MAX_CELLS = 8
@@ -45,35 +45,18 @@ class SensitivityReport:
     pairs_examined: int
 
 
-def _candidates(profile: UtilityProfile, cap: int) -> tuple[ConnectedAllocation, ...]:
-    count = count_connected_allocations(profile.m, profile.n)
-    if count > cap:
-        raise EnumerationCapError(
-            f"{count} connected allocations exceed the enumeration cap {cap}"
-        )
-    return connected_allocation_tuple(profile.m, profile.n)
-
-
 def min_ef_c_connected(
     profile: UtilityProfile, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 ) -> int:
     """Smallest c for which some connected allocation is EF-c (exhaustive)."""
-    allocations = _candidates(profile, enumeration_cap)
-    for c in range(profile.m + 1):
-        if any(is_ef_c(profile, allocation, c) for allocation in allocations):
-            return c
-    raise AssertionError("EF-m always holds; unreachable")
+    return min(min_ef_c(profile, a) for a in capped_candidates(profile, enumeration_cap))
 
 
 def min_prop_c_connected(
     profile: UtilityProfile, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 ) -> int:
     """Smallest c for which some connected allocation is PROP-c (exhaustive)."""
-    allocations = _candidates(profile, enumeration_cap)
-    for c in range(profile.m + 1):
-        if any(is_prop_c(profile, allocation, c) for allocation in allocations):
-            return c
-    raise AssertionError("PROP-m always holds; unreachable")
+    return min(min_prop_c(profile, a) for a in capped_candidates(profile, enumeration_cap))
 
 
 def ef2_connected_exists(
@@ -84,7 +67,7 @@ def ef2_connected_exists(
     Expected to be true on every monotone instance; a false return means the
     harness itself is broken, not that a counterexample was found.
     """
-    allocations = _candidates(profile, enumeration_cap)
+    allocations = capped_candidates(profile, enumeration_cap)
     return any(is_ef_c(profile, allocation, 2) for allocation in allocations)
 
 
@@ -103,11 +86,10 @@ def exact_em_distribution(
     collapses to -1 and the distribution is uniform.  Pass a small ``g``
     explicitly to audit a non-degenerate distribution.
     """
-    allocations = _candidates(profile, enumeration_cap)
+    allocations = capped_candidates(profile, enumeration_cap)
     if g is None:
         g = scoring_truncation_budget(profile.m, profile.n, params.epsilon, params.beta)
-    scores = np.array([score(profile, a, g) for a in allocations], dtype=np.float64)
-    weights = np.exp(params.epsilon * (scores - scores.max()) / 2.0)
+    weights = em_weights([score(profile, a, g) for a in allocations], params.epsilon)
     probabilities = weights / weights.sum()
     return {a: float(p) for a, p in zip(allocations, probabilities)}
 

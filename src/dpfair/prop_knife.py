@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import ConnectedAllocation, PrivacyParams, UtilityProfile, scaled_truncated
+from .core import ConnectedAllocation, PrivacyParams, UtilityProfile
 from .mechanisms import RandomStream, above_threshold
+
+_ADDITIVE_ONLY = "the moving-knife allocator requires additive utilities"
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,8 @@ def f_value(
     ``g_b - t`` and weighted by the left group size -- or 0 when no ``t``
     works.  Truncating more on the left and less on the right as ``t`` grows
     makes the qualifying set downward closed, so the descending scan stops
-    at the maximum.
+    at the maximum.  Like :func:`dp_moving_knife`, it accepts only additive
+    profiles.
     """
     if not 1 <= lo <= h <= hi <= profile.m:
         raise ValueError(f"invalid range lo={lo} h={h} hi={hi} for m={profile.m}")
@@ -125,20 +128,13 @@ def f_value(
         raise ValueError("group sizes must be positive")
     if g_b < 1:
         raise ValueError("g_b must be a positive integer")
-    if profile.kind == "additive":
-        row = profile.values[agent - 1]
-        left = _RangeTruncator(row, lo, h)
-        right = _RangeTruncator(row, h + 1, hi)
-        for t in range(g_b, 0, -1):
-            if n_right * left.truncated(g_b + t) >= n_left * right.truncated(g_b - t):
-                return t
-        return 0
-    left_items = range(lo, h + 1)
-    right_items = range(h + 1, hi + 1)
+    if profile.kind != "additive":
+        raise ValueError(_ADDITIVE_ONLY)
+    row = profile.values[agent - 1]
+    left = _RangeTruncator(row, lo, h)
+    right = _RangeTruncator(row, h + 1, hi)
     for t in range(g_b, 0, -1):
-        lhs = n_right * scaled_truncated(profile, agent, left_items, g_b + t)
-        rhs = n_left * scaled_truncated(profile, agent, right_items, g_b - t)
-        if lhs >= rhs:
+        if n_right * left.truncated(g_b + t) >= n_left * right.truncated(g_b - t):
             return t
     return 0
 
@@ -157,7 +153,7 @@ def dp_moving_knife(
     the procedure stays total when ``m < n``.
     """
     if profile.kind != "additive":
-        raise ValueError("the moving-knife allocator requires additive utilities")
+        raise ValueError(_ADDITIVE_ONLY)
     spans: list = [None] * profile.n
     records: list[KnifeRecord] = []
     leaves: list[tuple[int, int, int]] = []

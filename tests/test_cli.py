@@ -73,6 +73,12 @@ def test_gen_packing_family_and_pick(tmp_path, capsys):
     assert picked.values[0][:3] == (1, 1, 1)
 
 
+def test_gen_rejects_removed_wrap_flag(capsys):
+    code, _, err = run_cli(["gen", "all-zero", "--n", "2", "--m", "3", "--wrap"], capsys)
+    assert code == 2
+    assert "--wrap" in err
+
+
 def test_general_instance_round_trip(tmp_path):
     path = write_instance(
         tmp_path, "general.json", values=[[1, 1]], kind="general", tables=[[0, 1, 1, 2]]

@@ -6,14 +6,16 @@ from hypothesis import strategies as st
 
 from dpfair.core import (
     Adjacency,
-    Allocation,
     ConnectedAllocation,
+    PrivacyParams,
     UtilityProfile,
     adjacency_distance,
     bundle_utility,
     is_ef_c,
     is_ef_d_wrt_truncated,
     is_prop_c,
+    min_ef_c,
+    min_prop_c,
     top_k_utility,
     truncated_utility,
 )
@@ -83,11 +85,10 @@ def test_connected_allocation_validation():
         ConnectedAllocation(spans=((2, 1),))  # inverted span
 
 
-def test_owner_allocation_validation():
-    a = Allocation(n=2, owners=(1, 2, 2))
-    assert a.bundle(2) == (2, 3)
-    with pytest.raises(ValueError):
-        Allocation(n=2, owners=(1, 3))
+def test_privacy_params_have_no_adjacency_knob():
+    # both allocators are private under agent-by-item adjacency only
+    with pytest.raises(TypeError):
+        PrivacyParams(epsilon=1.0, adjacency=Adjacency.AGENT_LEVEL)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,37 @@ def test_single_agent_is_vacuously_fair():
     whole = ConnectedAllocation(spans=((1, 2),))
     assert is_ef_c(p, whole, 0)
     assert is_prop_c(p, whole, 0)
+
+
+def _assert_min_c_matches_brute_scan(p, allocations):
+    for allocation in allocations:
+        for fast, brute in ((min_ef_c, brute_is_ef_c), (min_prop_c, brute_is_prop_c)):
+            least = next((c for c in range(p.m + 1) if brute(p, allocation, c)), p.m + 1)
+            assert fast(p, allocation) == least
+
+
+def test_min_c_matches_brute_scan_on_all_small_binary_profiles():
+    shapes = [(n, m) for n in range(1, 7) for m in range(1, 7) if n * m <= 6]
+    for n, m in shapes:
+        allocations = list(enumerate_connected_allocations(m, n))
+        for bits in range(1 << (n * m)):
+            _assert_min_c_matches_brute_scan(binary_profile_from_bits(n, m, bits), allocations)
+
+
+def test_min_c_matches_brute_scan_on_general_profiles(rng):
+    for n, m in ((2, 2), (2, 3), (3, 3)):
+        allocations = list(enumerate_connected_allocations(m, n))
+        for _ in range(6):
+            _assert_min_c_matches_brute_scan(random_general_profile(rng, n, m), allocations)
+
+
+def test_min_prop_c_without_subadditivity_exceeds_m():
+    # each agent values only the pair: neither single item makes up a share
+    p = UtilityProfile.general(tables=[(0, 0, 0, 10), (0, 0, 0, 10)])
+    split = ConnectedAllocation(spans=((1, 1), (2, 2)))
+    assert min_prop_c(p, split) == 3
+    assert not any(is_prop_c(p, split, c) for c in range(10))
+    assert min_ef_c(p, split) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -106,19 +106,10 @@ def test_f_value_matches_definition_level_recomputation(rng):
                             )
 
 
-def test_f_value_general_kind_agrees_with_additive():
-    # a general-kind table encoding an additive function takes the slow path
-    values = (2, 0, 1)
-    table = tuple(
-        sum(v for j, v in enumerate(values) if mask >> j & 1) for mask in range(8)
-    )
-    additive = UtilityProfile.additive([list(values)])
-    general = UtilityProfile.general(tables=[table])
-    for h in (1, 2, 3):
-        for g_b in (1, 2, 4):
-            assert f_value(additive, 1, 1, 3, h, g_b, 1, 1) == f_value(
-                general, 1, 1, 3, h, g_b, 1, 1
-            )
+def test_f_value_rejects_general_kind():
+    general = UtilityProfile.general(tables=[(0, 2, 0, 2, 1, 3, 1, 3)])
+    with pytest.raises(ValueError, match="additive"):
+        f_value(general, 1, 1, 3, 2, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
