@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 GENERAL_TABLE_MAX_ITEMS = 16
@@ -313,19 +313,9 @@ def is_ef_c(profile: UtilityProfile, allocation: ConnectedAllocation, c: int) ->
     Agent ``i`` accepts agent ``i``'s own bundle against ``i'`` when some set
     of at most ``c`` items can be removed from ``A_{i'}`` so that ``i`` no
     longer prefers the remainder.  With a single agent the condition is
-    vacuous.
+    vacuous.  This is :func:`is_ef_d_wrt_truncated` with ``k = 0``.
     """
-    if c < 0:
-        raise ValueError("c must be nonnegative")
-    bundles = _bundles_for(profile, allocation)
-    for i in profile.agents:
-        own = scaled_bundle(profile, i, bundles[i - 1])
-        for other in profile.agents:
-            if other == i:
-                continue
-            if own < scaled_truncated(profile, i, bundles[other - 1], c):
-                return False
-    return True
+    return is_ef_d_wrt_truncated(profile, allocation, c, 0)
 
 
 def is_prop_c(profile: UtilityProfile, allocation: ConnectedAllocation, c: int) -> bool:
@@ -350,22 +340,32 @@ def is_prop_c(profile: UtilityProfile, allocation: ConnectedAllocation, c: int) 
     return True
 
 
-def _least_c(check, profile: UtilityProfile, allocation: ConnectedAllocation) -> int:
-    # Bisection over [0, m] on a predicate that is monotone in c; m + 1 when
-    # even c = m fails.
-    lo, hi = 0, profile.m + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if check(profile, allocation, mid):
-            hi = mid
+def least_true(check: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Least ``x`` in ``[lo, hi]`` with ``check(x)``, or ``hi + 1`` if none.
+
+    ``check`` must be monotone (false, then true).  Probes ``lo, lo+1, lo+3,
+    lo+7, ...`` and then bisects the last gap: O(log d) probes for an answer
+    ``d`` past ``lo``, and exactly one for an answer at ``lo``.
+    """
+    below = lo - 1  # check is false at every x <= below
+    probe = lo
+    while probe <= hi:
+        if check(probe):
+            hi = probe - 1
+            break
+        below, probe = probe, 2 * probe - lo + 1
+    while below < hi:  # the answer lies in (below, hi + 1]
+        mid = (below + hi + 1) // 2
+        if check(mid):
+            hi = mid - 1
         else:
-            lo = mid + 1
-    return lo
+            below = mid
+    return hi + 1
 
 
 def min_ef_c(profile: UtilityProfile, allocation: ConnectedAllocation) -> int:
     """Least c for which :func:`is_ef_c` holds; EF-m always holds, so at most m."""
-    return _least_c(is_ef_c, profile, allocation)
+    return least_true(lambda c: is_ef_c(profile, allocation, c), 0, profile.m)
 
 
 def min_prop_c(profile: UtilityProfile, allocation: ConnectedAllocation) -> int:
@@ -374,7 +374,7 @@ def min_prop_c(profile: UtilityProfile, allocation: ConnectedAllocation) -> int:
     ``m + 1`` means no c works, which only a non-subadditive general table
     can cause: there ``u_i(A_i) + u_i(M \\ A_i)`` may fall below ``u_i(M) / n``.
     """
-    return _least_c(is_prop_c, profile, allocation)
+    return least_true(lambda c: is_prop_c(profile, allocation, c), 0, profile.m)
 
 
 def is_ef_d_wrt_truncated(

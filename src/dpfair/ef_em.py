@@ -21,6 +21,7 @@ from .core import (
     PrivacyParams,
     UtilityProfile,
     is_ef_d_wrt_truncated,
+    least_true,
 )
 from .mechanisms import RandomStream, exponential_mechanism
 
@@ -108,8 +109,9 @@ def score(profile: UtilityProfile, allocation: ConnectedAllocation, g: int) -> i
 
     Returns ``-t`` for the smallest ``t in [g]`` such that the allocation is
     envy-free up to ``2t`` items under ``(g - t)``-truncated utilities, and
-    ``-g`` if no ``t`` qualifies.  The qualifying set need not be upward
-    closed, so every ``t`` is tried in ascending order until the first hit.
+    ``-g`` if no ``t`` qualifies.  As ``t`` grows, each agent's own bundle
+    is truncated less and every other bundle more, so the qualifying set is
+    upward closed (for general monotone tables too) and is searched.
     """
     if g < 1:
         raise ValueError("g must be a positive integer")
@@ -120,10 +122,8 @@ def score(profile: UtilityProfile, allocation: ConnectedAllocation, g: int) -> i
 def _score_cached(profile: UtilityProfile, allocation: ConnectedAllocation, g: int) -> int:
     # Pure in its arguments; cached because repeated seeded runs on the same
     # instance re-score an identical candidate list.
-    for t in range(1, g + 1):
-        if is_ef_d_wrt_truncated(profile, allocation, 2 * t, g - t):
-            return -t
-    return -g
+    t = least_true(lambda t: is_ef_d_wrt_truncated(profile, allocation, 2 * t, g - t), 1, g)
+    return -min(t, g)
 
 
 def scoring_truncation_budget(m: int, n: int, epsilon: float, beta: float) -> int:

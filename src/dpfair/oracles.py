@@ -18,7 +18,7 @@ from .core import (
     PrivacyParams,
     UtilityProfile,
     is_ef_c,
-    is_prop_c,  # not called here; bench/tracing.py expects it bound in this module
+    is_prop_c,
     min_ef_c,
     min_prop_c,
 )
@@ -45,18 +45,29 @@ class SensitivityReport:
     pairs_examined: int
 
 
+def _least_c_over_candidates(holds, least_c, profile, enumeration_cap) -> int:
+    # Only a candidate that passes at best - 1 can lower the running minimum.
+    best = profile.m + 1
+    for allocation in capped_candidates(profile, enumeration_cap):
+        if best == 0:
+            break
+        if holds(profile, allocation, best - 1):
+            best = least_c(profile, allocation)
+    return best
+
+
 def min_ef_c_connected(
     profile: UtilityProfile, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 ) -> int:
     """Smallest c for which some connected allocation is EF-c (exhaustive)."""
-    return min(min_ef_c(profile, a) for a in capped_candidates(profile, enumeration_cap))
+    return _least_c_over_candidates(is_ef_c, min_ef_c, profile, enumeration_cap)
 
 
 def min_prop_c_connected(
     profile: UtilityProfile, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
 ) -> int:
     """Smallest c for which some connected allocation is PROP-c (exhaustive)."""
-    return min(min_prop_c(profile, a) for a in capped_candidates(profile, enumeration_cap))
+    return _least_c_over_candidates(is_prop_c, min_prop_c, profile, enumeration_cap)
 
 
 def ef2_connected_exists(

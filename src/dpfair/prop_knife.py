@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import ConnectedAllocation, PrivacyParams, UtilityProfile
+from .core import ConnectedAllocation, PrivacyParams, UtilityProfile, least_true
 from .mechanisms import RandomStream, above_threshold
 
 _ADDITIVE_ONLY = "the moving-knife allocator requires additive utilities"
@@ -85,22 +85,6 @@ def budget_schedule(
     return schedule
 
 
-class _RangeTruncator:
-    """O(1) truncated values of one agent's additive utilities over a fixed range."""
-
-    def __init__(self, row: tuple[int, ...], lo: int, hi: int):
-        vals = sorted((row[j - 1] for j in range(lo, hi + 1)), reverse=True)
-        self.size = len(vals)
-        prefix = [0]
-        for v in vals:
-            prefix.append(prefix[-1] + v)
-        self.prefix = prefix
-        self.total = prefix[-1]
-
-    def truncated(self, k: int) -> int:
-        return self.total - self.prefix[min(k, self.size)]
-
-
 def f_value(
     profile: UtilityProfile,
     agent: int,
@@ -118,9 +102,9 @@ def f_value(
     still worth at least the right piece ``[h+1, hi]`` truncated by
     ``g_b - t`` and weighted by the left group size -- or 0 when no ``t``
     works.  Truncating more on the left and less on the right as ``t`` grows
-    makes the qualifying set downward closed, so the descending scan stops
-    at the maximum.  Like :func:`dp_moving_knife`, it accepts only additive
-    profiles.
+    makes the qualifying set downward closed, so the least rejected ``t`` is
+    searched with :func:`~dpfair.core.least_true`.  Like
+    :func:`dp_moving_knife`, it accepts only additive profiles.
     """
     if not 1 <= lo <= h <= hi <= profile.m:
         raise ValueError(f"invalid range lo={lo} h={h} hi={hi} for m={profile.m}")
@@ -131,12 +115,16 @@ def f_value(
     if profile.kind != "additive":
         raise ValueError(_ADDITIVE_ONLY)
     row = profile.values[agent - 1]
-    left = _RangeTruncator(row, lo, h)
-    right = _RangeTruncator(row, h + 1, hi)
-    for t in range(g_b, 0, -1):
-        if n_right * left.truncated(g_b + t) >= n_left * right.truncated(g_b - t):
-            return t
-    return 0
+    # k-truncated value of a piece is sum(piece[k:]), as in core.scaled_truncated
+    left = sorted(row[lo - 1 : h], reverse=True)
+    right = sorted(row[h:hi], reverse=True)
+
+    def rejected(t: int) -> bool:
+        return n_right * sum(left[g_b + t :]) < n_left * sum(right[g_b - t :])
+
+    # For t <= g_b - len(right) the right piece is truncated to nothing, so
+    # no such t is rejected and the search starts above them.
+    return least_true(rejected, max(1, g_b - len(right) + 1), g_b) - 1
 
 
 def dp_moving_knife(

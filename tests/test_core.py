@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from dpfair.core import (
     is_ef_c,
     is_ef_d_wrt_truncated,
     is_prop_c,
+    least_true,
     min_ef_c,
     min_prop_c,
     top_k_utility,
@@ -261,6 +263,26 @@ def test_min_c_matches_brute_scan_on_general_profiles(rng):
             _assert_min_c_matches_brute_scan(random_general_profile(rng, n, m), allocations)
 
 
+def test_least_true_matches_brute_scan():
+    for lo in (0, 1, 2):
+        for hi in range(lo - 1, lo + 13):  # hi = lo - 1 is the empty range
+            # below lo: true everywhere; above hi: true nowhere in range
+            for threshold in range(lo - 1, hi + 3):
+                probes = []
+
+                def check(x):
+                    assert lo <= x <= hi
+                    probes.append(x)
+                    return x >= threshold
+
+                brute = next((x for x in range(lo, hi + 1) if x >= threshold), hi + 1)
+                assert least_true(check, lo, hi) == brute
+                assert len(probes) == len(set(probes))
+                assert len(probes) <= 2 * (hi - lo + 2).bit_length()
+                if brute == lo <= hi:
+                    assert len(probes) == 1  # keeps all-(-1) scoring at one check each
+
+
 def test_min_prop_c_without_subadditivity_exceeds_m():
     # each agent values only the pair: neither single item makes up a share
     p = UtilityProfile.general(tables=[(0, 0, 0, 10), (0, 0, 0, 10)])
@@ -350,6 +372,27 @@ def test_checkers_monotone_in_c(bits, c, index):
         assert is_ef_c(p, allocation, c + 1)
     if is_prop_c(p, allocation, c):
         assert is_prop_c(p, allocation, c + 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    general=st.booleans(),
+    g=st.integers(min_value=2, max_value=6),
+)
+def test_score_predicate_monotone_in_t(seed, general, g):
+    # EF-2t under (g - t)-truncated utilities: once it holds, it holds for
+    # every larger t, which is what lets the EF score be searched
+    rng = np.random.default_rng(seed)
+    if general:
+        n, m = 2, 7
+        p = random_general_profile(rng, n, m)
+    else:
+        n, m = 3, 9
+        p = random_additive_profile(rng, n, m, max_value=4)
+    for allocation in enumerate_connected_allocations(m, n):
+        holds = [is_ef_d_wrt_truncated(p, allocation, 2 * t, g - t) for t in range(1, g + 1)]
+        assert holds == sorted(holds)
 
 
 def test_fast_paths_agree_with_brute_force_small(rng):

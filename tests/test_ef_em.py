@@ -14,7 +14,12 @@ from dpfair.ef_em import (
 from dpfair.mechanisms import RandomStream
 from dpfair.oracles import exact_em_distribution
 
-from conftest import brute_score
+from conftest import (
+    brute_is_ef_d_wrt_truncated,
+    brute_score,
+    random_additive_profile,
+    random_general_profile,
+)
 from test_core import binary_profile_from_bits
 
 
@@ -76,20 +81,24 @@ def test_score_single_agent_is_minus_one():
 
 
 def test_score_matches_definition_level_recomputation(rng):
-    # g=2 is the regime where scores actually vary at m=4; g=3 collapses to -1
-    allocations = list(enumerate_connected_allocations(4, 2))
-    seen = set()
     # 0b00001111: agent 1 values everything, agent 2 nothing; dumping all
     # items on agent 2 then scores -2 at g=2
-    samples = [0b00001111] + [int(rng.integers(0, 1 << 8)) for _ in range(5)]
-    for bits in samples:
-        p = binary_profile_from_bits(2, 4, bits)
-        for allocation in allocations:
-            for g in (2, 3):
+    profiles = [binary_profile_from_bits(2, 4, 0b00001111)]
+    profiles += [binary_profile_from_bits(2, 4, int(rng.integers(0, 1 << 8))) for _ in range(5)]
+    profiles += [random_additive_profile(rng, n=3, m=6, max_value=4) for _ in range(2)]
+    profiles += [random_general_profile(rng, n, m) for n, m in ((2, 6), (2, 7), (3, 5))]
+    seen = set()
+    for p in profiles:
+        for allocation in enumerate_connected_allocations(p.m, p.n):
+            for g in (2, 3, 6, 9):
                 value = score(p, allocation, g)
                 assert value == brute_score(p, allocation, g)
-                seen.add((g, value))
-    assert (2, -2) in seen  # the g=2 sweep exercised a non-constant score
+                no_t = not brute_is_ef_d_wrt_truncated(p, allocation, 2 * g, 0)
+                seen.add((g, value, no_t))
+    assert (2, -2, False) in seen  # found at the second probe
+    assert (3, -3, False) in seen  # found by bisecting past the gallop
+    assert (2, -2, True) in seen and (3, -3, True) in seen  # no t qualifies
+    assert (9, -1, False) in seen  # found at the first probe
 
 
 def test_scoring_truncation_budget_example():

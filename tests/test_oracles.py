@@ -48,14 +48,18 @@ def test_min_prop_single_contested_item_instance():
 
 
 def test_min_oracles_agree_with_definition_level_scans(rng):
-    for _ in range(15):
-        p = random_additive_profile(rng, n=2, m=4, max_value=3)
-        allocations = list(enumerate_connected_allocations(4, 2))
-        brute_ef = next(
-            c for c in range(5) if any(brute_is_ef_c(p, a, c) for a in allocations)
-        )
-        brute_prop = next(
-            c for c in range(5) if any(brute_is_prop_c(p, a, c) for a in allocations)
+    profiles = [random_additive_profile(rng, n=2, m=4, max_value=3) for _ in range(15)]
+    profiles += [random_additive_profile(rng, n=3, m=4, max_value=3) for _ in range(5)]
+    # not subadditive: the split {1}/{2} is PROP-c for no c (min_prop_c = m + 1)
+    profiles.append(UtilityProfile.general(tables=[(0, 0, 0, 10), (0, 0, 0, 10)]))
+    for p in profiles:
+        allocations = list(enumerate_connected_allocations(p.m, p.n))
+        brute_ef, brute_prop = (
+            next(
+                (c for c in range(p.m + 1) if any(brute(p, a, c) for a in allocations)),
+                p.m + 1,
+            )
+            for brute in (brute_is_ef_c, brute_is_prop_c)
         )
         assert min_ef_c_connected(p) == brute_ef
         assert min_prop_c_connected(p) == brute_prop

@@ -100,7 +100,7 @@ def test_f_value_matches_definition_level_recomputation(rng):
             for lo in range(1, m + 1):
                 for hi in range(lo, m + 1):
                     for h in range(lo, hi + 1):
-                        for g_b in (1, 3):
+                        for g_b in (1, 3, 8):  # 8 exceeds every range
                             assert f_value(p, agent, lo, hi, h, g_b, 2, 1) == brute_f(
                                 p, agent, lo, hi, h, g_b, 2, 1
                             )
