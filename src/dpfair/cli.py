@@ -120,6 +120,7 @@ def _record_to_dict(record: prop_knife.KnifeRecord) -> dict:
         "g_b": record.g_b,
         "h_values": [list(pair) for pair in record.h_values],
         "svt_fired": list(record.svt_fired),
+        "svt_queries": list(record.svt_queries),
         "split": record.split,
         "left_agents": list(record.left_agents),
         "right_agents": list(record.right_agents),

@@ -13,15 +13,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .core import (
     ConnectedAllocation,
     EnumerationCapError,
     PrivacyParams,
     UtilityProfile,
+    is_ef_c,
     is_ef_d_wrt_truncated,
     least_true,
+    min_ef_c,
 )
 from .mechanisms import RandomStream, exponential_mechanism
 
@@ -38,10 +40,15 @@ class EfRunReport:
     candidate_count: int
     epsilon: float
     beta: float
+    # Set only when the score is -g and EF-2g fails: then no t in [g]
+    # qualified, the score certifies nothing, and this is min_ef_c.
+    fallback_guarantee: Optional[int] = None
 
     @property
     def ef_guarantee(self) -> int:
-        """The c for which the run's own score certifies EF-c (g + |score|)."""
+        """A c for which the allocation is proven EF-c: g + |score|, or the fallback."""
+        if self.fallback_guarantee is not None:
+            return self.fallback_guarantee
         return self.g - self.score
 
 
@@ -154,11 +161,16 @@ def dp_ef_allocate(
     g = scoring_truncation_budget(profile.m, profile.n, params.epsilon, params.beta)
     scores = [score(profile, allocation, g) for allocation in candidates]
     index = exponential_mechanism(stream, candidates, scores, params.epsilon)
+    allocation, chosen = candidates[index], scores[index]
+    fallback = None
+    if chosen == -g and not is_ef_c(profile, allocation, 2 * g):
+        fallback = min_ef_c(profile, allocation)
     return EfRunReport(
-        allocation=candidates[index],
+        allocation=allocation,
         g=g,
-        score=scores[index],
+        score=chosen,
         candidate_count=len(candidates),
         epsilon=params.epsilon,
         beta=params.beta,
+        fallback_guarantee=fallback,
     )

@@ -12,6 +12,7 @@ to at most the total budget.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -35,6 +36,7 @@ class KnifeRecord:
     g_b: int
     h_values: tuple[tuple[int, int], ...]  # (agent, h) in ascending agent order
     svt_fired: tuple[bool, ...]  # False where the fallback h = hi was used
+    svt_queries: tuple[int, ...]  # cut values each agent's SVT evaluated
     split: int
     left_agents: tuple[int, ...]
     right_agents: tuple[int, ...]
@@ -103,9 +105,27 @@ def f_value(
     ``g_b - t`` and weighted by the left group size -- or 0 when no ``t``
     works.  Truncating more on the left and less on the right as ``t`` grows
     makes the qualifying set downward closed, so the least rejected ``t`` is
-    searched with :func:`~dpfair.core.least_true`.  Like
-    :func:`dp_moving_knife`, it accepts only additive profiles.
+    searched with :func:`~dpfair.core.least_true`.  The value is
+    nondecreasing in ``h``: moving an item into the left piece never lowers
+    its truncated value and never raises the right piece's.  This is the
+    first step of the incremental scan the allocator runs over ``h = lo..hi``.
+    Like :func:`dp_moving_knife`, it accepts only additive profiles.
     """
+    return next(_cut_values(profile, agent, lo, hi, h, g_b, n_left, n_right))
+
+
+def _cut_values(
+    profile: UtilityProfile,
+    agent: int,
+    lo: int,
+    hi: int,
+    h: int,
+    g_b: int,
+    n_left: int,
+    n_right: int,
+) -> Iterator[int]:
+    # Yields f_value at h, h+1, ..., hi.  Each piece is sorted once,
+    # ascending; a step moves item h+1 from the right piece to the left one.
     if not 1 <= lo <= h <= hi <= profile.m:
         raise ValueError(f"invalid range lo={lo} h={h} hi={hi} for m={profile.m}")
     if n_left < 1 or n_right < 1:
@@ -115,16 +135,33 @@ def f_value(
     if profile.kind != "additive":
         raise ValueError(_ADDITIVE_ONLY)
     row = profile.values[agent - 1]
-    # k-truncated value of a piece is sum(piece[k:]), as in core.scaled_truncated
-    left = sorted(row[lo - 1 : h], reverse=True)
-    right = sorted(row[h:hi], reverse=True)
+    left = sorted(row[lo - 1 : h])
+    right = sorted(row[h:hi])
+    left_total = sum(left)
+    right_total = sum(right)
 
     def rejected(t: int) -> bool:
-        return n_right * sum(left[g_b + t :]) < n_left * sum(right[g_b - t :])
+        # k-truncated value of an ascending piece: total minus its k largest.
+        # Probed t exceed g_b - len(right), so the right slice start is >= 1.
+        kept_left = left_total - sum(left[max(len(left) - g_b - t, 0) :])
+        kept_right = right_total - sum(right[len(right) - g_b + t :])
+        return n_right * kept_left < n_left * kept_right
 
-    # For t <= g_b - len(right) the right piece is truncated to nothing, so
-    # no such t is rejected and the search starts above them.
-    return least_true(rejected, max(1, g_b - len(right) + 1), g_b) - 1
+    least = 1
+    while True:
+        # No t <= g_b - len(right) is rejected (the right piece is truncated
+        # to nothing), and since f is nondecreasing in h, neither is any t
+        # below the previous answer.
+        least = least_true(rejected, max(least, g_b - len(right) + 1), g_b)
+        yield least - 1
+        if h == hi:
+            return
+        item = row[h]  # item h + 1
+        del right[bisect_left(right, item)]
+        insort(left, item)
+        left_total += item
+        right_total -= item
+        h += 1
 
 
 def dp_moving_knife(
@@ -160,6 +197,7 @@ def dp_moving_knife(
         n_left = len(agents) - n_right
         hs = []
         fired = []
+        queries = []
         for agent in agents:
             outcome = above_threshold(
                 stream,
@@ -167,6 +205,7 @@ def dp_moving_knife(
                 tau=g_b / 2.0,
                 epsilon=eps_b,
             )
+            queries.append(outcome.queries_consumed)
             if outcome.index is None:
                 # Exhaustion is a low-probability noise event; the sentinel
                 # h = hi is where the query provably equals g_b >= tau.
@@ -192,6 +231,7 @@ def dp_moving_knife(
                 g_b=g_b,
                 h_values=tuple(hs),
                 svt_fired=tuple(fired),
+                svt_queries=tuple(queries),
                 split=split,
                 left_agents=left_agents,
                 right_agents=right_agents,
@@ -220,8 +260,9 @@ def _cut_queries(
 ) -> Iterator[float]:
     # Lazy: the threshold mechanism stops at the first accepted position, so
     # later cut values are never computed.  hi < lo yields no queries.
-    for h in range(lo, hi + 1):
-        yield float(f_value(profile, agent, lo, hi, h, g_b, n_left, n_right))
+    if hi < lo:
+        return iter(())
+    return map(float, _cut_values(profile, agent, lo, hi, lo, g_b, n_left, n_right))
 
 
 def proof_chain_c(m: int, n: int, params: PrivacyParams) -> int:

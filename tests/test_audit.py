@@ -239,7 +239,7 @@ def _record(agents, depth):
     return KnifeRecord(
         agents=agents, lo=1, hi=2, depth=depth, level=1, epsilon_b=0.1, g_b=8,
         h_values=tuple((a, 1) for a in agents), svt_fired=(True,) * len(agents),
-        split=1, left_agents=agents[:1], right_agents=agents[1:],
+        svt_queries=(1,) * len(agents), split=1, left_agents=agents[:1], right_agents=agents[1:],
     )
 
 

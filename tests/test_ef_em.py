@@ -3,7 +3,16 @@ from collections import Counter
 
 import pytest
 
-from dpfair.core import EnumerationCapError, PrivacyParams, UtilityProfile, is_ef_c
+import dpfair.ef_em as ef_em
+from dpfair.core import (
+    ConnectedAllocation,
+    EnumerationCapError,
+    PrivacyParams,
+    UtilityProfile,
+    is_ef_c,
+    is_ef_d_wrt_truncated,
+    min_ef_c,
+)
 from dpfair.ef_em import (
     count_connected_allocations,
     dp_ef_allocate,
@@ -147,8 +156,32 @@ def test_allocator_report_fields_and_guarantee():
     assert report.candidate_count == 8
     assert -report.g <= report.score <= -1
     assert report.score == score(profile, report.allocation, report.g)
+    assert report.score > -report.g  # the score certifies its own guarantee
     assert report.ef_guarantee == report.g - report.score
     assert is_ef_c(profile, report.allocation, report.ef_guarantee)
+
+
+@pytest.mark.parametrize("last_value, qualifies", [(1, False), (0, True)])
+def test_guarantee_when_the_chosen_score_is_minus_g(monkeypatch, last_value, qualifies):
+    # A huge epsilon gives the least budget g = 8.  Agent 1 holds one item it
+    # values at 0; agent 2 holds 2g + 1 items, 2g of which agent 1 values at
+    # 1 and the last at ``last_value``.  Either way the score is -g: with
+    # last_value 1 no t in [g] qualifies and EF-2g fails, so the guarantee
+    # falls back to the least c; with 0, t = g qualifies and EF-2g is kept.
+    params = PrivacyParams(epsilon=1e6, beta=0.5)
+    g = scoring_truncation_budget(18, 2, params.epsilon, params.beta)
+    assert g == 8
+    profile = UtilityProfile.additive([[0] + [1] * (2 * g) + [last_value], [1] * (2 * g + 2)])
+    forced = ConnectedAllocation(spans=((1, 1), (2, 2 * g + 2)))
+    monkeypatch.setattr(
+        ef_em, "exponential_mechanism", lambda stream, candidates, *rest: candidates.index(forced)
+    )
+    report = dp_ef_allocate(profile, params, RandomStream(0))
+    assert report.allocation == forced
+    assert report.score == score(profile, forced, g) == -g
+    assert is_ef_d_wrt_truncated(profile, forced, 2 * g, 0) == qualifies
+    assert is_ef_c(profile, forced, 2 * g) == qualifies
+    assert report.ef_guarantee == min_ef_c(profile, forced) == 2 * g + (not qualifies)
 
 
 def test_allocator_rejects_oversized_instances():

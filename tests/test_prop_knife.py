@@ -2,10 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpfair.prop_knife as prop_knife
 from dpfair.audit import parallel_structure_ok, validate_knife_trace
-from dpfair.core import PrivacyParams, UtilityProfile, is_prop_c
+from dpfair.core import ConnectedAllocation, PrivacyParams, UtilityProfile, is_prop_c
+from dpfair.generators import bernoulli_profile
 from dpfair.mechanisms import RandomStream, SvtOutcome
 from dpfair.prop_knife import (
     budget_schedule,
@@ -106,6 +109,67 @@ def test_f_value_matches_definition_level_recomputation(rng):
                             )
 
 
+def sorted_f(row, lo, hi, h, g_b, n_left, n_right):
+    # Linear scan over t on freshly sorted pieces; the k-truncated value of an
+    # additive piece is the sum of all but its k largest items.
+    def kept(piece, k):
+        return sum(sorted(piece)[: max(len(piece) - k, 0)])
+
+    left, right = row[lo - 1 : h], row[h:hi]
+    qualifying = [
+        t
+        for t in range(1, g_b + 1)
+        if n_right * kept(left, g_b + t) >= n_left * kept(right, g_b - t)
+    ]
+    return max(qualifying) if qualifying else 0
+
+
+def test_scan_matches_per_position_f_value(rng):
+    starts_inside = 0
+    for _ in range(60):
+        m = int(rng.integers(1, 40))
+        p = random_additive_profile(rng, n=2, m=m, max_value=10)
+        lo = int(rng.integers(1, m + 1))
+        hi = int(rng.integers(lo, m + 1))
+        h0 = int(rng.integers(lo, hi + 1))
+        starts_inside += h0 > lo
+        n_left, n_right = (int(v) for v in rng.choice([1, 2, 3, 5], size=2, replace=False))
+        for g_b in (1, 2, 3, 7, hi - lo + 2):  # the last exceeds the range
+            scan = list(prop_knife._cut_values(p, 2, lo, hi, h0, g_b, n_left, n_right))
+            per_position = [
+                f_value(p, 2, lo, hi, h, g_b, n_left, n_right) for h in range(h0, hi + 1)
+            ]
+            assert scan == per_position
+            assert per_position == [
+                sorted_f(p.values[1], lo, hi, h, g_b, n_left, n_right)
+                for h in range(h0, hi + 1)
+            ]
+            queries = prop_knife._cut_queries(p, 2, lo, hi, g_b, n_left, n_right)
+            assert list(queries)[h0 - lo :] == [float(v) for v in scan]
+    assert starts_inside > 0
+
+
+def test_cut_queries_of_an_empty_range_are_empty():
+    p = UtilityProfile.additive([[1, 2, 3]])
+    assert list(prop_knife._cut_queries(p, 1, 3, 2, 8, 1, 1)) == []
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    row=st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=25),
+    g_b=st.integers(min_value=1, max_value=30),
+    n_left=st.integers(min_value=1, max_value=4),
+    n_right=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_f_value_nondecreasing_in_h(row, g_b, n_left, n_right, data):
+    p = UtilityProfile.additive([row])
+    lo = data.draw(st.integers(min_value=1, max_value=len(row)))
+    hi = data.draw(st.integers(min_value=lo, max_value=len(row)))
+    values = [f_value(p, 1, lo, hi, h, g_b, n_left, n_right) for h in range(lo, hi + 1)]
+    assert values == sorted(values)
+
+
 def test_f_value_rejects_general_kind():
     general = UtilityProfile.general(tables=[(0, 2, 0, 2, 1, 3, 1, 3)])
     with pytest.raises(ValueError, match="additive"):
@@ -159,6 +223,40 @@ def test_deterministic_replay():
     assert a == b
 
 
+def test_seeded_output_is_pinned():
+    # Recorded before the cut scan became incremental; any change to the cut
+    # values or to the order of the SVT draws moves some split or h value.
+    params = PrivacyParams(epsilon=2.0, beta=0.1, svt_constant=1.0)
+    p = bernoulli_profile(5, 300, RandomStream(7))
+    allocation, trace = dp_moving_knife(p, params, RandomStream(11))
+    assert allocation.spans == ((1, 1), None, (162, 300), (2, 5), (6, 161))
+    assert [(r.agents, r.lo, r.hi, r.g_b, r.split, r.h_values) for r in trace.records] == [
+        ((1, 2, 3, 4, 5), 1, 300, 264, 5, ((1, 5), (2, 2), (3, 11), (4, 1), (5, 5))),
+        ((1, 2, 4), 1, 5, 176, 1, ((1, 1), (2, 1), (4, 1))),
+        ((1, 2), 1, 1, 120, 1, ((1, 1), (2, 1))),
+        ((3, 5), 6, 300, 120, 161, ((3, 179), (5, 161))),
+    ]
+    for record in trace.records:
+        assert all(record.svt_fired)
+        assert record.svt_queries == tuple(h - record.lo + 1 for _, h in record.h_values)
+
+
+def test_prop_c_at_the_proof_chain_bound_in_the_papers_regime():
+    # n = 2, m = 20000 at the default svt_constant: g_b = 2480 is below m, so
+    # the cut is not forced to the range ends and the guarantee is not vacuous.
+    params = PrivacyParams(epsilon=2.0, beta=0.1)
+    m = 20000
+    p = bernoulli_profile(2, m, RandomStream(0))
+    allocation, trace = dp_moving_knife(p, params, RandomStream(100))
+    (root,) = trace.records
+    assert root.g_b == 2480 < m
+    assert 1 < root.split < m
+    c = proof_chain_c(m, 2, params)
+    assert c == root.g_b
+    assert is_prop_c(p, allocation, c)
+    assert not is_prop_c(p, ConnectedAllocation(spans=((1, m), None)), c)
+
+
 def test_svt_fallback_uses_right_end_sentinel(monkeypatch):
     monkeypatch.setattr(
         prop_knife, "above_threshold", lambda *a, **k: SvtOutcome(None, 0)
@@ -186,13 +284,28 @@ def test_tiebreak_is_stable_by_agent_index(monkeypatch):
 
 
 class _LoggingRows:
+    """Rows that log ``(row index, 0-based position)`` for every item read."""
+
     def __init__(self, rows, log):
         self._rows = rows
         self.log = log
 
     def __getitem__(self, index):
-        self.log.append(index)
-        return self._rows[index]
+        return _LoggingRow(self._rows[index], index, self.log)
+
+
+class _LoggingRow:
+    def __init__(self, row, index, log):
+        self._row = row
+        self._index = index
+        self._log = log
+
+    def __getitem__(self, key):
+        positions = range(len(self._row))[key]
+        if isinstance(key, int):
+            positions = (positions,)
+        self._log.extend((self._index, position) for position in positions)
+        return self._row[key]
 
 
 class _SpyProfile:
@@ -211,26 +324,41 @@ def test_f_value_reads_only_the_queried_agents_row(rng):
     p = random_additive_profile(rng, n=3, m=5)
     log = []
     spy = _SpyProfile(p, log)
-    f_value(spy, 2, 1, 5, 3, 4, 2, 1)
-    assert set(log) == {1}
+    f_value(spy, 2, 2, 4, 3, 4, 2, 1)
+    assert {row for row, _ in log} == {1}
+    assert {position + 1 for _, position in log} == {2, 3, 4}
 
 
 def test_allocator_reads_each_row_only_inside_its_own_branch(monkeypatch, rng):
-    calls = []
-    original = prop_knife.f_value
+    # Scans run one after another (an abandoned scan is never resumed), so
+    # every read belongs to the scan that started last.
+    log = []
+    original = prop_knife._cut_values
 
-    def recording_f(profile, agent, lo, hi, h, g_b, n_left, n_right):
-        calls.append((agent, lo, hi))
-        return original(profile, agent, lo, hi, h, g_b, n_left, n_right)
+    def marked(profile, agent, lo, hi, *rest):
+        log.append(("scan", agent, lo, hi))
+        yield from original(profile, agent, lo, hi, *rest)
 
-    monkeypatch.setattr(prop_knife, "f_value", recording_f)
+    monkeypatch.setattr(prop_knife, "_cut_values", marked)
     p = random_additive_profile(rng, n=4, m=9)
-    _, trace = dp_moving_knife(p, PrivacyParams(epsilon=2.0), RandomStream(3))
+    _, trace = dp_moving_knife(_SpyProfile(p, log), PrivacyParams(epsilon=2.0), RandomStream(3))
     ranges = {}
     for record in trace.records:
         ranges.setdefault((record.lo, record.hi), set()).update(record.agents)
-    for agent, lo, hi in calls:
-        assert agent in ranges[(lo, hi)]
+    scan = None
+    reads = 0
+    for entry in log:
+        if entry[0] == "scan":
+            scan = entry
+            _, agent, lo, hi = scan
+            assert agent in ranges[(lo, hi)]
+            continue
+        assert scan is not None
+        _, agent, lo, hi = scan
+        row, position = entry
+        assert row == agent - 1 and lo <= position + 1 <= hi
+        reads += 1
+    assert reads > 0
 
 
 def test_failure_rate_at_proof_chain_c_is_low(rng):
