@@ -15,10 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
 import time
+from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -111,33 +113,14 @@ def allocation_to_dict(allocation: ConnectedAllocation) -> dict:
 
 
 def _record_to_dict(record: prop_knife.KnifeRecord) -> dict:
-    return {
-        "agents": list(record.agents),
-        "range": [record.lo, record.hi],
-        "depth": record.depth,
-        "level": record.level,
-        "epsilon_b": record.epsilon_b,
-        "g_b": record.g_b,
-        "h_values": [list(pair) for pair in record.h_values],
-        "svt_fired": list(record.svt_fired),
-        "svt_queries": list(record.svt_queries),
-        "split": record.split,
-        "left_agents": list(record.left_agents),
-        "right_agents": list(record.right_agents),
-    }
+    doc = asdict(record)
+    doc["range"] = [doc.pop("lo"), doc.pop("hi")]
+    return doc
 
 
-def _emit(report: dict, args, rows: Optional[list[dict]] = None) -> None:
-    """Write the report (or CSV rows for sweeps) to --out or stdout."""
-    if args.format == "csv":
-        if rows is None:
-            raise InstanceFormatError("--format csv is only available for 'sweep'")
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buffer.getvalue()
-    else:
+def _emit(report: dict, args, text: Optional[str] = None) -> None:
+    """Write ``text``, by default the report as JSON, to --out or stdout."""
+    if text is None:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w") as handle:
@@ -147,21 +130,26 @@ def _emit(report: dict, args, rows: Optional[list[dict]] = None) -> None:
 
 
 def _params(args) -> PrivacyParams:
+    # A field the leaf has no flag for (allocate-ef has no --svt-constant) keeps its default.
+    given = vars(args)
     return PrivacyParams(
-        epsilon=args.epsilon, beta=args.beta, svt_constant=args.svt_constant
+        **{field.name: given[field.name] for field in fields(PrivacyParams) if field.name in given}
     )
 
 
-def _base_report(command: str, args, **parameters) -> dict:
+# Parsed fields that are not report parameters: routing, the top-level seed,
+# output options, and the ratio-audit instance pair, which reports have never
+# carried (bench/workloads.py digests reports with only ``instance`` dropped).
+_UNRECORDED = {"subcommand", "handler", "seed", "out", "format", "instance1", "instance2"}
+
+
+def _base_report(args) -> dict:
+    """Report header; ``parameters`` holds every other flag the leaf command read."""
     return {
-        "command": command,
+        "command": args.subcommand,
         "seed": args.seed,
         "parameters": {
-            "epsilon": args.epsilon,
-            "beta": args.beta,
-            "svt_constant": args.svt_constant,
-            "enum_cap": args.enum_cap,
-            **parameters,
+            key: value for key, value in vars(args).items() if key not in _UNRECORDED
         },
     }
 
@@ -178,7 +166,7 @@ def _cmd_allocate_ef(args) -> int:
         profile, _params(args), RandomStream(args.seed), enumeration_cap=args.enum_cap
     )
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    report = _base_report("allocate-ef", args, instance=args.instance)
+    report = _base_report(args)
     report["allocation"] = allocation_to_dict(report_obj.allocation)
     report["metadata"] = {
         "g": report_obj.g,
@@ -202,7 +190,7 @@ def _cmd_allocate_prop(args) -> int:
     budget_ok = budget <= Fraction(params.epsilon)
     trace_ok = audit_mod.validate_knife_trace(trace, profile.n, profile.m)
     schedule = prop_knife.budget_schedule(profile.m, profile.n, params)
-    report = _base_report("allocate-prop", args, instance=args.instance)
+    report = _base_report(args)
     report["allocation"] = allocation_to_dict(allocation)
     report["metadata"] = {
         "budget_levels": [
@@ -223,7 +211,7 @@ def _cmd_allocate_prop(args) -> int:
 
 def _cmd_oracle(args) -> int:
     profile = read_instance(args.instance)
-    report = _base_report("oracle", args, instance=args.instance, which=args.which)
+    report = _base_report(args)
     start = time.perf_counter()
     if args.which == "min-ef":
         report["result"] = oracles.min_ef_c_connected(profile, args.enum_cap)
@@ -259,8 +247,7 @@ def _cmd_gen(args) -> int:
             sys.stderr.write("packing family failed its edit-distance invariant\n")
             return EXIT_AUDIT_FAILURE
         if args.pick is not None:
-            profile = family.base if args.pick == "base" else family.variants[int(args.pick) - 1]
-            payload = profile_to_dict(profile)
+            payload = profile_to_dict(_pick(family, args.pick))
         else:
             payload = {
                 "family": args.kind,
@@ -280,14 +267,20 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _pick(family: generators.PackingFamily, pick: str) -> UtilityProfile:
+    if pick == "base":
+        return family.base
+    if pick.isdecimal() and 1 <= int(pick) <= family.T:
+        return family.variants[int(pick) - 1]
+    raise ValueError(f"--pick must be 'base' or an integer in 1..{family.T}, got {pick!r}")
+
+
 def _mechanism_for(algorithm: str, params: PrivacyParams, enum_cap: int):
     if algorithm == "ef":
         return lambda profile, stream: dp_ef_allocate(
             profile, params, stream, enumeration_cap=enum_cap
         ).allocation
-    if algorithm == "prop":
-        return lambda profile, stream: dp_moving_knife(profile, params, stream)[0]
-    raise InstanceFormatError(f"unknown algorithm {algorithm!r}")
+    return lambda profile, stream: dp_moving_knife(profile, params, stream)[0]
 
 
 def _ratio_report_dict(ratio: audit_mod.RatioReport) -> dict:
@@ -308,15 +301,12 @@ def _ratio_report_dict(ratio: audit_mod.RatioReport) -> dict:
 
 
 def _cmd_audit(args) -> int:
-    params = _params(args)
     stream = RandomStream(args.seed)
-    report = _base_report("audit", args, check=args.check)
+    report = _base_report(args)
     start = time.perf_counter()
-    passed = True
 
     if args.check in ("privacy-ratio", "group"):
-        if not args.instance1 or not args.instance2:
-            raise InstanceFormatError(f"{args.check} needs --instance1 and --instance2")
+        params = _params(args)
         p1 = read_instance(args.instance1)
         p2 = read_instance(args.instance2)
         if args.exact:
@@ -333,34 +323,27 @@ def _cmd_audit(args) -> int:
                 ratio = audit_mod.group_privacy_check(
                     mechanism, p1, p2, params.epsilon, args.trials, stream
                 )
-        report["result"] = _ratio_report_dict(ratio)
-        passed = ratio.passed
+        result = _ratio_report_dict(ratio)
     elif args.check == "sensitivity":
-        g = args.g if args.g is not None else 2
         if args.which == "score":
-            sens = oracles.audit_score_sensitivity(args.m, args.n, g)
+            sens = oracles.audit_score_sensitivity(args.m, args.n, args.g)
         else:
-            sens = oracles.audit_f_sensitivity(args.m, args.n, g)
-        report["result"] = {
+            sens = oracles.audit_f_sensitivity(args.m, args.n, args.g)
+        result = {
             "which": args.which,
             "max_delta": sens.max_delta,
             "pairs_examined": sens.pairs_examined,
             "bound": 1,
             "passed": sens.max_delta <= 1,
         }
-        passed = sens.max_delta <= 1
     elif args.check == "fairness-rate":
-        if not args.instance:
-            raise InstanceFormatError("fairness-rate needs --instance")
+        params = _params(args)
         profile = read_instance(args.instance)
         mechanism = _mechanism_for(args.algorithm, params, args.enum_cap)
         rate = audit_mod.fairness_failure_rate(
             mechanism, profile, args.criterion, args.c, args.trials, stream
         )
-        # The allocators promise failure probability at most beta; flag only
-        # a confident violation of that promise.
-        passed = rate.ci_low <= params.beta
-        report["result"] = {
+        result = {
             "criterion": args.criterion,
             "c": args.c,
             "failures": rate.hits,
@@ -368,15 +351,16 @@ def _cmd_audit(args) -> int:
             "rate": rate.estimate,
             "ci": [rate.ci_low, rate.ci_high],
             "beta": params.beta,
-            "passed": passed,
+            # The allocators promise failure probability at most beta; flag
+            # only a confident violation of that promise.
+            "passed": rate.ci_low <= params.beta,
         }
     else:  # anti-concentration
         estimate = audit_mod.anti_concentration_check(
             args.lemma, args.k, args.gamma, args.trials, stream
         )
         target = 0.25 if args.lemma == "2.10" else 0.1 / args.gamma
-        passed = estimate.ci_high >= target
-        report["result"] = {
+        result = {
             "lemma": args.lemma,
             "k": args.k,
             "gamma": args.gamma,
@@ -385,33 +369,17 @@ def _cmd_audit(args) -> int:
             "estimate": estimate.estimate,
             "ci": [estimate.ci_low, estimate.ci_high],
             "target_lower_bound": target,
-            "passed": passed,
+            "passed": estimate.ci_high >= target,
         }
 
+    report["result"] = result
     report["timing"] = {"runtime_ms": (time.perf_counter() - start) * 1000.0}
     _emit(report, args)
-    return EXIT_OK if passed else EXIT_AUDIT_FAILURE
-
-
-def _parse_grid(text: str, cast) -> list:
-    try:
-        return [cast(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise InstanceFormatError(f"bad grid value in {text!r}: {exc}") from exc
+    return EXIT_OK if result["passed"] else EXIT_AUDIT_FAILURE
 
 
 def _cmd_sweep(args) -> int:
-    ns = _parse_grid(args.ns, int)
-    ms = _parse_grid(args.ms, int)
-    epsilons = _parse_grid(args.epsilons, float)
-    betas = _parse_grid(args.betas, float)
-    grid = [
-        (n, m, epsilon, beta)
-        for n in ns
-        for m in ms
-        for epsilon in epsilons
-        for beta in betas
-    ]
+    grid = itertools.product(args.ns, args.ms, args.epsilons, args.betas)
     min_c = min_ef_c if args.algorithm == "ef" else min_prop_c
     rows = []
     for point_index, (n, m, epsilon, beta) in enumerate(grid):
@@ -446,12 +414,19 @@ def _cmd_sweep(args) -> int:
                 "runtime_ms": elapsed_ms,
             }
         )
-    report = _base_report("sweep", args, algorithm=args.algorithm)
+    report = _base_report(args)
     report["rows"] = [
         {k: v for k, v in row.items() if k != "runtime_ms"} for row in rows
     ]
     report["timing"] = {"runtime_ms": sum(row["runtime_ms"] for row in rows)}
-    _emit(report, args, rows=rows)
+    text = None
+    if args.format == "csv":
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buffer.getvalue()
+    _emit(report, args, text)
     return EXIT_OK
 
 
@@ -464,76 +439,120 @@ def _default_seed() -> int:
     return int(os.environ.get(SEED_ENV_VAR, "0"))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _grid(cast):
+    """Argument type: a nonempty comma-separated list of ``cast`` values."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [cast(tok) for tok in text.split(",") if tok]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad grid value in {text!r}: {exc}") from exc
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty grid {text!r}")
+        return values
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=_default_seed())
-    common.add_argument("--epsilon", type=float, default=1.0)
-    common.add_argument("--beta", type=float, default=0.1)
-    common.add_argument("--svt-constant", type=float, default=16.0, dest="svt_constant")
-    common.add_argument("--trials", type=int, default=1000)
-    common.add_argument("--out", type=str, default=None)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--enum-cap", type=int, default=DEFAULT_ENUMERATION_CAP, dest="enum_cap")
+    """One leaf parser per command, declaring only the flags its handler reads.
+
+    A flag the leaf does not read is a usage error.  ``oracle``, ``gen`` and
+    ``audit`` pick their mode with a second word, parsed into ``which``,
+    ``kind`` and ``check``.
+    """
+
+    def flag(name: str, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(name, **kwargs)
+        return parent
+
+    base = [flag("--seed", type=int, default=_default_seed()), flag("--out", default=None)]
+    instance = flag("--instance", required=True)
+    epsilon = flag("--epsilon", type=float, default=1.0)
+    beta = flag("--beta", type=float, default=PrivacyParams.beta)
+    svt = flag("--svt-constant", type=float, default=PrivacyParams.svt_constant)
+    cap = flag("--enum-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    trials = flag("--trials", type=_positive_int, default=1000)
+    # what _mechanism_for reads besides epsilon and beta
+    mechanism = [flag("--algorithm", choices=("ef", "prop"), default="ef"), svt, cap]
+    size = [flag("--n", type=int, required=True), flag("--m", type=int, required=True)]
+
+    def leaf(subparsers, name, *parents, handler=None, text=None):
+        # No abbreviations: they would let an unread flag alias a read one
+        # (sweep's --epsilons would answer to --epsilon).
+        p = subparsers.add_parser(name, parents=[*base, *parents], help=text, allow_abbrev=False)
+        if handler is not None:
+            p.set_defaults(handler=handler)
+        return p
+
+    def modes(name, handler, dest, text):
+        p = commands.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        return p.add_subparsers(dest=dest, required=True)
 
     parser = argparse.ArgumentParser(
         prog="dpfair",
         description="Differentially private fair division: allocators, oracles, audits.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    commands = parser.add_subparsers(dest="subcommand", required=True)
+    leaf(commands, "allocate-ef", instance, epsilon, beta, cap,
+         handler=_cmd_allocate_ef, text="run the private EF allocator")
+    leaf(commands, "allocate-prop", instance, epsilon, beta, svt,
+         handler=_cmd_allocate_prop, text="run the private PROP allocator")
 
-    p = sub.add_parser("allocate-ef", parents=[common], help="run the private EF allocator")
-    p.add_argument("--instance", required=True)
-    p.set_defaults(handler=_cmd_allocate_ef)
+    which = modes("oracle", _cmd_oracle, "which", "exact brute-force computations")
+    for name in ("min-ef", "min-prop", "ef2-exists"):
+        leaf(which, name, instance, cap)
+    leaf(which, "em-dist", instance, epsilon, beta, cap)
 
-    p = sub.add_parser("allocate-prop", parents=[common], help="run the private PROP allocator")
-    p.add_argument("--instance", required=True)
-    p.set_defaults(handler=_cmd_allocate_prop)
+    kind = modes("gen", _cmd_gen, "kind", "generate instances")
+    for name in ("bernoulli", "all-zero"):
+        leaf(kind, name, *size)
+    for name in ("ef-packing", "prop-packing"):
+        p = leaf(kind, name, *size, epsilon)
+        p.add_argument("--c", type=int, default=None)
+        p.add_argument("--T", type=int, default=None)
+        p.add_argument("--pick", default=None, help="emit one family member: 'base' or 1..T")
 
-    p = sub.add_parser("oracle", parents=[common], help="exact brute-force computations")
-    p.add_argument("which", choices=("min-ef", "min-prop", "ef2-exists", "em-dist"))
-    p.add_argument("--instance", required=True)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("gen", parents=[common], help="generate instances")
-    p.add_argument("kind", choices=("bernoulli", "all-zero", "ef-packing", "prop-packing"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--c", type=int, default=None)
-    p.add_argument("--T", type=int, default=None)
-    p.add_argument("--pick", default=None, help="emit one family member: 'base' or 1..T")
-    p.set_defaults(handler=_cmd_gen)
-
-    p = sub.add_parser("audit", parents=[common], help="privacy and fairness audits")
-    p.add_argument(
-        "check",
-        choices=("privacy-ratio", "group", "sensitivity", "fairness-rate", "anti-concentration"),
-    )
-    p.add_argument("--instance", help="instance for fairness-rate")
-    p.add_argument("--instance1", help="first instance for ratio audits")
-    p.add_argument("--instance2", help="second instance for ratio audits")
-    p.add_argument("--algorithm", choices=("ef", "prop"), default="ef")
-    p.add_argument("--exact", action="store_true", help="use exact EM distributions")
+    check = modes("audit", _cmd_audit, "check", "privacy and fairness audits")
+    for name in ("privacy-ratio", "group"):
+        p = leaf(check, name, *mechanism, epsilon, beta, trials)
+        p.add_argument("--instance1", required=True, help="first instance")
+        p.add_argument("--instance2", required=True, help="second instance")
+        p.add_argument("--exact", action="store_true",
+                       help="use exact EM distributions (--algorithm ef only)")
+        p.add_argument("--g", type=int, default=None,
+                       help="truncation budget of --exact audits (default: allocator formula)")
+    p = leaf(check, "sensitivity")
     p.add_argument("--which", choices=("score", "f"), default="score")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--m", type=int, default=3)
-    p.add_argument("--g", type=int, default=None,
-                   help="truncation budget: sensitivity audits default to 2; "
-                        "exact ratio audits default to the allocator formula")
+    p.add_argument("--g", type=int, default=2, help="truncation budget")
+    p = leaf(check, "fairness-rate", instance, *mechanism, epsilon, beta, trials)
     p.add_argument("--criterion", choices=("EF", "PROP"), default="EF")
     p.add_argument("--c", type=int, default=0)
+    p = leaf(check, "anti-concentration", trials)
     p.add_argument("--lemma", choices=("2.10", "2.11"), default="2.10")
     p.add_argument("--k", type=int, default=100)
     p.add_argument("--gamma", type=float, default=2.0)
-    p.set_defaults(handler=_cmd_audit)
 
-    p = sub.add_parser("sweep", parents=[common], help="grid experiments, CSV output")
-    p.add_argument("--ns", required=True, help="comma-separated agent counts")
-    p.add_argument("--ms", required=True, help="comma-separated item counts")
-    p.add_argument("--epsilons", required=True, help="comma-separated epsilons")
-    p.add_argument("--betas", required=True, help="comma-separated betas")
-    p.add_argument("--algorithm", choices=("ef", "prop"), default="ef")
-    p.set_defaults(handler=_cmd_sweep)
-
+    p = leaf(commands, "sweep", *mechanism, trials,
+             handler=_cmd_sweep, text="grid experiments, CSV output")
+    for name, cast, what in [("--ns", int, "agent counts"), ("--ms", int, "item counts"),
+                             ("--epsilons", float, "epsilons"), ("--betas", float, "betas")]:
+        p.add_argument(name, type=_grid(cast), required=True, help=f"comma-separated {what}")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 

@@ -118,82 +118,64 @@ def binary_profiles(n: int, m: int, scale: int = 1) -> list[UtilityProfile]:
     return out
 
 
-def _adjacent_binary_pairs(n: int, m: int, scale: int = 1):
-    # Each unordered adjacent pair is generated once by flipping a 0-cell up.
-    profiles = binary_profiles(n, m, scale)
-    for bits, profile in enumerate(profiles):
-        for cell in range(n * m):
-            if not bits >> cell & 1:
-                yield profile, profiles[bits | 1 << cell]
+def _max_adjacent_delta(n: int, m: int, contexts: list, value) -> SensitivityReport:
+    """Largest |value(p1, x) - value(p2, x)| over adjacent binary p1, p2 and x in contexts.
 
-
-def _check_universe(n: int, m: int) -> None:
+    Each profile's values are tabulated once; each unordered adjacent pair is
+    generated once, by flipping a 0-cell of p1 up.  The witness is
+    ``(p1, p2, x)``.
+    """
     if n * m > SENSITIVITY_UNIVERSE_MAX_CELLS:
         raise ValueError(
             f"exhaustive audit universe limited to n*m <= {SENSITIVITY_UNIVERSE_MAX_CELLS}"
         )
+    profiles = binary_profiles(n, m)
+    table = [[value(profile, x) for x in contexts] for profile in profiles]
+    max_delta = 0
+    witness = None
+    pairs = 0
+    for bits, row in enumerate(table):
+        for cell in range(n * m):
+            if bits >> cell & 1:
+                continue
+            pairs += 1
+            flipped = bits | 1 << cell
+            for x, v1, v2 in zip(contexts, row, table[flipped]):
+                delta = abs(v1 - v2)
+                if delta > max_delta:
+                    max_delta = delta
+                    witness = (profiles[bits], profiles[flipped], x)
+    return SensitivityReport(max_delta=max_delta, witness=witness, pairs_examined=pairs)
 
 
 def audit_score_sensitivity(m: int, n: int, g: int) -> SensitivityReport:
     """Exhaustively verify the allocator score moves by at most 1 per cell edit.
 
     Scans every pair of binary profiles differing in one cell and every
-    connected allocation; the claimed bound is 1.
+    connected allocation ``a``; the claimed bound is 1.  The witness is
+    ``(p1, p2, a)``.
     """
-    _check_universe(n, m)
     allocations = list(enumerate_connected_allocations(m, n))
-    score_table = {
-        profile: [score(profile, a, g) for a in allocations]
-        for profile in binary_profiles(n, m)
-    }
-    max_delta = 0
-    witness = None
-    pairs = 0
-    for p1, p2 in _adjacent_binary_pairs(n, m):
-        pairs += 1
-        for a, s1, s2 in zip(allocations, score_table[p1], score_table[p2]):
-            delta = abs(s1 - s2)
-            if delta > max_delta:
-                max_delta = delta
-                witness = (p1, p2, a)
-    return SensitivityReport(max_delta=max_delta, witness=witness, pairs_examined=pairs)
+    return _max_adjacent_delta(n, m, allocations, lambda p, a: score(p, a, g))
 
 
-def audit_f_sensitivity(
-    m: int,
-    n: int,
-    g_b: int,
-    n_left: Optional[int] = None,
-    n_right: Optional[int] = None,
-) -> SensitivityReport:
+def audit_f_sensitivity(m: int, n: int, g_b: int) -> SensitivityReport:
     """Exhaustively verify the cut-acceptance function moves by at most 1.
 
     Covers every agent, every item range, every cut position inside it, and
-    every adjacent binary-profile pair.  Group sizes default to the halving
-    used by the allocator at the top level.
+    every adjacent binary-profile pair, with the group sizes of the
+    allocator's top-level halving.  The witness is
+    ``(p1, p2, (agent, lo, hi, h))``.
     """
-    _check_universe(n, m)
-    if n_right is None:
-        n_right = max(n // 2, 1)
-    if n_left is None:
-        n_left = max(n - n_right, 1)
+    n_right = max(n // 2, 1)
+    n_left = max(n - n_right, 1)
     positions = [
-        (lo, hi, h)
+        (agent, lo, hi, h)
+        for agent in range(1, n + 1)
         for lo in range(1, m + 1)
         for hi in range(lo, m + 1)
         for h in range(lo, hi + 1)
     ]
-    max_delta = 0
-    witness = None
-    pairs = 0
-    for p1, p2 in _adjacent_binary_pairs(n, m):
-        pairs += 1
-        for agent in range(1, n + 1):
-            for lo, hi, h in positions:
-                f1 = f_value(p1, agent, lo, hi, h, g_b, n_left, n_right)
-                f2 = f_value(p2, agent, lo, hi, h, g_b, n_left, n_right)
-                delta = abs(f1 - f2)
-                if delta > max_delta:
-                    max_delta = delta
-                    witness = (p1, p2, agent, lo, hi, h)
-    return SensitivityReport(max_delta=max_delta, witness=witness, pairs_examined=pairs)
+    return _max_adjacent_delta(
+        n, m, positions, lambda p, x: f_value(p, *x, g_b, n_left, n_right)
+    )

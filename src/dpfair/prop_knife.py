@@ -53,13 +53,8 @@ class KnifeTrace:
         return tuple(sorted({record.level for record in self.records}))
 
 
-def level_epsilon(epsilon: float, b: int) -> float:
-    """Budget for level ``b``: epsilon / (2 * 1.5**b)."""
-    return epsilon / (2.0 * 1.5**b)
-
-
 def level_epsilon_exact(epsilon: float, b: int) -> Fraction:
-    """Exact rational value of the level-``b`` budget (epsilon * 2^(b-1) / 3^b)."""
+    """Budget for level ``b``, epsilon / (2 * 1.5**b), as an exact rational."""
     return Fraction(epsilon) * Fraction(2 ** (b - 1), 3**b)
 
 
@@ -82,7 +77,7 @@ def budget_schedule(
     top = math.ceil(math.log2(n))
     schedule = {}
     for b in range(1, top + 1):
-        eps_b = level_epsilon(params.epsilon, b)
+        eps_b = float(level_epsilon_exact(params.epsilon, b))
         schedule[b] = (eps_b, truncation_budget(m, n, eps_b, params.beta, params.svt_constant))
     return schedule
 

@@ -1,8 +1,12 @@
+import argparse
 import json
 import subprocess
 import sys
 
+import pytest
+
 from dpfair import cli
+from dpfair.ef_em import scoring_truncation_budget
 
 
 def run_cli(argv, capsys):
@@ -71,6 +75,28 @@ def test_gen_packing_family_and_pick(tmp_path, capsys):
     assert code == 0
     picked = cli.profile_from_dict(json.loads(text))
     assert picked.values[0][:3] == (1, 1, 1)
+
+
+@pytest.mark.parametrize("pick", ["0", "-1", "3", "x"])
+def test_gen_pick_outside_the_family_exits_two(pick, capsys):
+    code, _, err = run_cli(
+        ["gen", "ef-packing", "--n", "3", "--m", "12", "--c", "1", "--T", "2", "--pick", pick],
+        capsys,
+    )
+    assert code == 2
+    assert "'base' or an integer in 1..2" in err
+
+
+def test_gen_pick_base_and_last_variant(capsys):
+    argv = ["gen", "ef-packing", "--n", "3", "--m", "12", "--c", "1", "--T", "2"]
+    code, text, _ = run_cli(argv, capsys)
+    assert code == 0
+    family = json.loads(text)
+    for pick, expected in [("base", family["base"]), ("2", family["variants"][1])]:
+        code, text, _ = run_cli([*argv, "--pick", pick], capsys)
+        assert code == 0
+        assert json.loads(text) == expected
+    assert family["variants"][0] != family["variants"][1]
 
 
 def test_gen_rejects_removed_wrap_flag(capsys):
@@ -231,6 +257,143 @@ def test_sweep_csv_grid_order_and_columns(tmp_path, capsys):
     assert len(lines) == 5
     # grid order is fixed: m ascending before epsilon
     assert [line.split(",")[1] for line in lines[1:]] == ["3", "3", "4", "4"]
+
+
+def test_sweep_records_the_grid_it_ran(capsys):
+    code, text, _ = run_cli(
+        ["sweep", "--ns", "2", "--ms", "3,4", "--epsilons", "2", "--betas", "0.1,0.2",
+         "--algorithm", "prop", "--trials", "2", "--seed", "5"],
+        capsys,
+    )
+    assert code == 0
+    doc = json.loads(text)
+    assert doc["parameters"] == {
+        "algorithm": "prop",
+        "ns": [2],
+        "ms": [3, 4],
+        "epsilons": [2.0],
+        "betas": [0.1, 0.2],
+        "trials": 2,
+        "svt_constant": 16.0,
+        "enum_cap": cli.DEFAULT_ENUMERATION_CAP,
+    }
+    assert {row["epsilon"] for row in doc["rows"]} == {2.0}
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+def test_sweep_rejects_an_empty_grid_naming_the_flag(out_format, capsys):
+    code, _, err = run_cli(
+        ["sweep", "--ns", "2", "--ms", ",", "--epsilons", "1", "--betas", "0.1",
+         "--trials", "1", "--format", out_format],
+        capsys,
+    )
+    assert code == 2
+    assert "--ms" in err and "empty grid" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--ns", "2", "--ms", "3", "--epsilons", "1", "--betas", "0.1"],
+    ["audit", "privacy-ratio", "--instance1", "a.json", "--instance2", "b.json"],
+    ["audit", "group", "--instance1", "a.json", "--instance2", "b.json"],
+    ["audit", "fairness-rate", "--instance", "a.json"],
+    ["audit", "anti-concentration"],
+], ids=lambda argv: " ".join(argv[:2]))
+@pytest.mark.parametrize("trials", ["0", "-3", "many"])
+def test_trials_must_be_a_positive_integer(argv, trials, capsys):
+    code, _, err = run_cli([*argv, "--trials", trials], capsys)
+    assert code == 2
+    assert "--trials" in err and "positive integer" in err
+
+
+# ---------------------------------------------------------------------------
+# per-command flags
+# ---------------------------------------------------------------------------
+
+
+# One flag per leaf command that its handler never reads.
+UNREAD_FLAGS = [
+    (["allocate-ef", "--instance", "i.json"], ["--svt-constant", "1"]),
+    (["allocate-prop", "--instance", "i.json"], ["--enum-cap", "5"]),
+    (["oracle", "min-ef", "--instance", "i.json"], ["--epsilon", "2"]),
+    (["oracle", "min-prop", "--instance", "i.json"], ["--beta", "0.2"]),
+    (["oracle", "ef2-exists", "--instance", "i.json"], ["--trials", "5"]),
+    (["oracle", "em-dist", "--instance", "i.json"], ["--svt-constant", "1"]),
+    (["gen", "bernoulli", "--n", "2", "--m", "3"], ["--pick", "1"]),
+    (["gen", "all-zero", "--n", "2", "--m", "3"], ["--epsilon", "2"]),
+    (["gen", "ef-packing", "--n", "3", "--m", "12"], ["--beta", "0.2"]),
+    (["gen", "prop-packing", "--n", "3", "--m", "12"], ["--enum-cap", "5"]),
+    (["audit", "privacy-ratio", "--instance1", "a.json", "--instance2", "b.json"],
+     ["--which", "f"]),
+    (["audit", "group", "--instance1", "a.json", "--instance2", "b.json"],
+     ["--criterion", "EF"]),
+    (["audit", "sensitivity"], ["--trials", "5"]),
+    (["audit", "fairness-rate", "--instance", "i.json"], ["--exact"]),
+    (["audit", "anti-concentration"], ["--epsilon", "2"]),
+    (["audit", "anti-concentration"], ["--svt-constant", "3"]),
+    (["sweep", "--ns", "2", "--ms", "3", "--epsilons", "2", "--betas", "0.1"],
+     ["--epsilon", "7"]),
+    # no abbreviations: these would otherwise alias --betas and --ns
+    (["sweep", "--ns", "2", "--ms", "3", "--epsilons", "2", "--betas", "0.1"],
+     ["--beta", "0.2"]),
+    (["sweep", "--ns", "2", "--ms", "3", "--epsilons", "2", "--betas", "0.1"],
+     ["--n", "3"]),
+]
+
+
+@pytest.mark.parametrize("argv,flag", UNREAD_FLAGS, ids=lambda x: " ".join(x[:2]))
+def test_a_flag_the_command_does_not_read_exits_two(argv, flag, capsys):
+    code, _, err = run_cli([*argv, *flag], capsys)
+    assert code == 2
+    assert f"unrecognized arguments: {flag[0]}" in err
+
+
+def _leaf_paths(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [path]
+    return [leaf for name, child in subs[0].choices.items()
+            for leaf in _leaf_paths(child, (*path, name))]
+
+
+def test_every_leaf_command_is_covered_by_the_unread_flag_table():
+    paths = _leaf_paths(cli.build_parser())
+    assert len(paths) == 16
+    for path in paths:
+        assert any(tuple(argv[: len(path)]) == path for argv, _ in UNREAD_FLAGS), path
+
+
+def test_battery_command_shapes_exit_zero(tmp_path):
+    # The command shapes of the benchmark's audit_cli battery, at small trial counts.
+    a = write_instance(tmp_path, "pair_a.json", [[1, 0, 1, 1], [0, 1, 1, 0]])
+    b = write_instance(tmp_path, "pair_b.json", [[1, 1, 1, 1], [0, 1, 1, 0]])
+    c = write_instance(tmp_path, "fair.json", [[1, 0, 1, 1, 0, 0, 1, 1],
+                                               [0, 1, 1, 0, 1, 0, 0, 1],
+                                               [1, 1, 0, 0, 0, 1, 1, 0]])
+    trials = 80
+    eps = ["--epsilon", "1.0", "--beta", "0.1"]
+    pair = ["--instance1", a, "--instance2", b]
+    g_fair = scoring_truncation_budget(8, 3, 1.0, 0.1)
+    battery = [
+        ["audit", "privacy-ratio", "--algorithm", "ef", *pair, "--trials", str(trials), *eps],
+        ["audit", "privacy-ratio", "--algorithm", "prop", *pair, "--trials", str(trials // 4),
+         *eps],
+        ["audit", "privacy-ratio", "--exact", "--g", "2", *pair, *eps],
+        ["audit", "fairness-rate", "--algorithm", "ef", "--instance", c, "--criterion", "EF",
+         "--c", str(3 * g_fair // 2), "--trials", str(trials // 4), *eps],
+        ["audit", "sensitivity", "--which", "f", "--n", "2", "--m", "3", "--g", "2"],
+        ["audit", "sensitivity", "--which", "score", "--n", "2", "--m", "3", "--g", "2"],
+        ["oracle", "min-ef", "--instance", c],
+        ["sweep", "--ns", "2", "--ms", "4,5", "--epsilons", "1.0", "--betas", "0.1",
+         "--algorithm", "ef", "--trials", str(trials // 40)],
+        ["audit", "anti-concentration", "--lemma", "2.10", "--k", "100",
+         "--trials", str(trials * 25)],
+    ]
+    for k, argv in enumerate(battery):
+        out = tmp_path / f"report_{k}.json"
+        assert cli.run([*argv, "--seed", "3", "--out", str(out)]) == 0, argv
+        report = json.loads(out.read_text())
+        assert report["seed"] == 3
+        assert not {"seed", "out", "instance1", "instance2"} & report["parameters"].keys()
 
 
 # ---------------------------------------------------------------------------

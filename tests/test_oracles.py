@@ -149,6 +149,19 @@ def test_f_sensitivity_small_universes():
     assert audit_f_sensitivity(3, 2, 2).max_delta <= 1
 
 
+def test_f_sensitivity_bound_is_attained_with_a_witness():
+    from dpfair.prop_knife import f_value
+
+    report = audit_f_sensitivity(3, 2, 2)
+    assert report.pairs_examined == 6 * (1 << 6) // 2 == 192
+    assert report.max_delta == 1
+    p1, p2, (agent, lo, hi, h) = report.witness
+    assert sum(a != b for r1, r2 in zip(p1.values, p2.values) for a, b in zip(r1, r2)) == 1
+    # the audit's own group sizes at n = 2: one agent on each side
+    f1 = f_value(p1, agent, lo, hi, h, 2, 1, 1)
+    assert abs(f1 - f_value(p2, agent, lo, hi, h, 2, 1, 1)) == 1
+
+
 def test_f_sensitivity_zero_vs_one_cell_at_right_end():
     zero = binary_profile_from_bits(2, 3, 0)
     flipped = binary_profile_from_bits(2, 3, 0b000001)

@@ -33,6 +33,16 @@ def test_level_budgets_exact_values():
     assert level_epsilon_exact(1.0, 3) == Fraction(4, 27)
 
 
+def test_schedule_budgets_round_the_closed_form():
+    # 2 * 1.5**b is exact in floating point for b <= 33, so both forms round
+    # the same real number; the knife's g_b values depend on it.
+    stream = RandomStream(5).generator
+    for epsilon in [0.1, 1.0, 2.0, 8.0, *stream.uniform(1e-3, 20.0, size=200)]:
+        params = PrivacyParams(epsilon=float(epsilon))
+        for b, (eps_b, _) in budget_schedule(100, 2**12, params).items():
+            assert eps_b == float(epsilon) / (2.0 * 1.5**b)
+
+
 def test_partial_sums_follow_the_geometric_closed_form():
     for top in range(1, 12):
         partial = sum(Fraction(2 ** (b - 1), 3**b) for b in range(1, top + 1))
