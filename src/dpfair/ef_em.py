@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .core import (
     ConnectedAllocation,
     EnumerationCapError,
@@ -28,6 +30,9 @@ from .core import (
 from .mechanisms import RandomStream, exponential_mechanism
 
 DEFAULT_ENUMERATION_CAP = 10**7
+# Candidates times g cells per block of the batched scorer, which bounds its
+# temporaries however large the candidate set or g is.
+_SCORE_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -118,19 +123,101 @@ def score(profile: UtilityProfile, allocation: ConnectedAllocation, g: int) -> i
     envy-free up to ``2t`` items under ``(g - t)``-truncated utilities, and
     ``-g`` if no ``t`` qualifies.  As ``t`` grows, each agent's own bundle
     is truncated less and every other bundle more, so the qualifying set is
-    upward closed (for general monotone tables too) and is searched.
+    upward closed (for general monotone tables too) and is searched.  This is
+    the definition; :func:`scored_candidates` computes it for a whole
+    candidate set at once.
     """
     if g < 1:
         raise ValueError("g must be a positive integer")
-    return _score_cached(profile, allocation, g)
-
-
-@lru_cache(maxsize=1 << 18)
-def _score_cached(profile: UtilityProfile, allocation: ConnectedAllocation, g: int) -> int:
-    # Pure in its arguments; cached because repeated seeded runs on the same
-    # instance re-score an identical candidate list.
     t = least_true(lambda t: is_ef_d_wrt_truncated(profile, allocation, 2 * t, g - t), 1, g)
     return -min(t, g)
+
+
+def scored_candidates(
+    profile: UtilityProfile, g: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
+) -> tuple[tuple[ConnectedAllocation, ...], np.ndarray]:
+    """Every connected allocation (see :func:`capped_candidates`) and its :func:`score`.
+
+    The scores are a read-only integer array in candidate order, cached per
+    ``(profile, g)``: the audit loops run the allocator on one or two
+    profiles thousands of times.
+    """
+    candidates = capped_candidates(profile, enumeration_cap)
+    if g < 1:
+        raise ValueError("g must be a positive integer")
+    return candidates, _score_cached(profile, g)
+
+
+@lru_cache(maxsize=8)
+def _score_cached(profile: UtilityProfile, g: int) -> np.ndarray:
+    candidates = connected_allocation_tuple(profile.m, profile.n)
+    if profile.kind == "additive" and max(map(sum, profile.values)) < 2**63:
+        scores = _additive_scores(profile, candidates, g)
+    else:  # general tables, or sums that int64 arithmetic would wrap
+        scores = [score(profile, allocation, g) for allocation in candidates]
+    scores = np.asarray(scores, dtype=np.min_scalar_type(-g))
+    scores.flags.writeable = False
+    return scores
+
+
+def _additive_scores(
+    profile: UtilityProfile, candidates: tuple[ConnectedAllocation, ...], g: int
+) -> np.ndarray:
+    """:func:`score` of every candidate of an additive profile, in blocks of candidates.
+
+    Agent i's k-truncated value of the items in ``[s, e)`` is its total
+    there minus ``sum_d v_d * clip(k - above_d, 0, held_d)`` over i's
+    distinct positive values ``v_d`` in descending order, where ``held_d``
+    counts the items worth ``v_d`` in ``[s, e)`` and ``above_d`` the items
+    worth more; both come from prefix counts.  Every t in ``[1, g]`` is
+    tested at once, and since the qualifying set is upward closed (see
+    :func:`score`), the least qualifying t is ``g + 1`` minus their number.
+    """
+    n = profile.n
+    bounds = np.array(
+        [span or (1, 0) for allocation in candidates for span in allocation.spans],
+        dtype=np.intp,
+    ).reshape(len(candidates), n, 2)
+    starts, ends = bounds[:, :, 0] - 1, bounds[:, :, 1]  # items [s, e), 0-based; empty is [0, 0)
+    tables = []
+    for values in profile.values:
+        row = np.asarray(values, dtype=np.int64)
+        levels = np.array(sorted(set(values) - {0}, reverse=True), dtype=np.int64)
+        counts = np.zeros((len(levels), len(row) + 1), dtype=np.int64)
+        np.cumsum(row == levels[:, None], axis=1, out=counts[:, 1:])
+        totals = np.concatenate(([0], np.cumsum(row)))
+        tables.append((levels, counts, totals))
+    own_k = np.arange(g - 1, -1, -1)  # g - t for t = 1..g
+    other_k = np.arange(g + 1, 2 * g + 1)  # g + t
+    block = max(1, _SCORE_BLOCK_CELLS // g)
+    qualifying = np.empty(len(candidates), dtype=np.int64)
+    for first in range(0, len(candidates), block):
+        s, e = starts[first : first + block], ends[first : first + block]
+        passes = np.ones((len(s), g), dtype=bool)
+        for i, (levels, counts, totals) in enumerate(tables):
+            held = counts[:, e] - counts[:, s]  # (value level, candidate, bundle)
+            above = np.cumsum(held, axis=0) - held
+            worth = totals[e] - totals[s]
+            own = _truncated(levels, held[:, :, i], above[:, :, i], worth[:, i], own_k)
+            for j in range(n):
+                if j != i:
+                    passes &= own >= _truncated(
+                        levels, held[:, :, j], above[:, :, j], worth[:, j], other_k
+                    )
+        qualifying[first : first + len(s)] = passes.sum(axis=1)
+    return np.maximum(qualifying - (g + 1), -g)  # -min(least t, g)
+
+
+def _truncated(levels, held, above, worth, ks) -> np.ndarray:
+    """k-truncated values of a block of bundles: one row per bundle, one column per k."""
+    value = np.repeat(worth[:, None], len(ks), axis=1)
+    removed = np.empty_like(value)
+    for v, c, b in zip(levels, held, above):
+        np.subtract(ks, b[:, None], out=removed)
+        np.clip(removed, 0, c[:, None], out=removed)
+        removed *= v
+        value -= removed
+    return value
 
 
 def scoring_truncation_budget(m: int, n: int, epsilon: float, beta: float) -> int:
@@ -157,11 +244,10 @@ def dp_ef_allocate(
     """
     if profile.m < 1:
         raise ValueError("allocator needs at least one item")
-    candidates = capped_candidates(profile, enumeration_cap)
     g = scoring_truncation_budget(profile.m, profile.n, params.epsilon, params.beta)
-    scores = [score(profile, allocation, g) for allocation in candidates]
+    candidates, scores = scored_candidates(profile, g, enumeration_cap)
     index = exponential_mechanism(stream, candidates, scores, params.epsilon)
-    allocation, chosen = candidates[index], scores[index]
+    allocation, chosen = candidates[index], int(scores[index])
     fallback = None
     if chosen == -g and not is_ef_c(profile, allocation, 2 * g):
         fallback = min_ef_c(profile, allocation)

@@ -25,9 +25,9 @@ from .core import (
 from .ef_em import (
     DEFAULT_ENUMERATION_CAP,
     capped_candidates,
-    connected_allocation_tuple,  # not called here; bench/tracing.py expects it bound in this module
-    enumerate_connected_allocations,
-    score,
+    connected_allocation_tuple,
+    score,  # not called here; bench/tracing.py expects it bound in this module
+    scored_candidates,
     scoring_truncation_budget,
 )
 from .mechanisms import em_weights
@@ -97,10 +97,10 @@ def exact_em_distribution(
     collapses to -1 and the distribution is uniform.  Pass a small ``g``
     explicitly to audit a non-degenerate distribution.
     """
-    allocations = capped_candidates(profile, enumeration_cap)
     if g is None:
         g = scoring_truncation_budget(profile.m, profile.n, params.epsilon, params.beta)
-    weights = em_weights([score(profile, a, g) for a in allocations], params.epsilon)
+    allocations, scores = scored_candidates(profile, g, enumeration_cap)
+    weights = em_weights(scores, params.epsilon)
     probabilities = weights / weights.sum()
     return {a: float(p) for a, p in zip(allocations, probabilities)}
 
@@ -118,19 +118,20 @@ def binary_profiles(n: int, m: int, scale: int = 1) -> list[UtilityProfile]:
     return out
 
 
-def _max_adjacent_delta(n: int, m: int, contexts: list, value) -> SensitivityReport:
-    """Largest |value(p1, x) - value(p2, x)| over adjacent binary p1, p2 and x in contexts.
+def _max_adjacent_delta(n: int, m: int, contexts: list, row) -> SensitivityReport:
+    """Largest |row(p1)[k] - row(p2)[k]| over adjacent binary p1, p2 and every k.
 
-    Each profile's values are tabulated once; each unordered adjacent pair is
-    generated once, by flipping a 0-cell of p1 up.  The witness is
-    ``(p1, p2, x)``.
+    ``row(p)`` lists an audited function's values on ``p`` at each of the
+    ``contexts``, in order, and is called once per profile; each unordered
+    adjacent pair is generated once, by flipping a 0-cell of p1 up.  The
+    witness is ``(p1, p2, contexts[k])``.
     """
     if n * m > SENSITIVITY_UNIVERSE_MAX_CELLS:
         raise ValueError(
             f"exhaustive audit universe limited to n*m <= {SENSITIVITY_UNIVERSE_MAX_CELLS}"
         )
     profiles = binary_profiles(n, m)
-    table = [[value(profile, x) for x in contexts] for profile in profiles]
+    table = [row(profile) for profile in profiles]
     max_delta = 0
     witness = None
     pairs = 0
@@ -152,11 +153,14 @@ def audit_score_sensitivity(m: int, n: int, g: int) -> SensitivityReport:
     """Exhaustively verify the allocator score moves by at most 1 per cell edit.
 
     Scans every pair of binary profiles differing in one cell and every
-    connected allocation ``a``; the claimed bound is 1.  The witness is
+    connected allocation ``a``, scored by the allocator's own
+    :func:`scored_candidates`; the claimed bound is 1.  The witness is
     ``(p1, p2, a)``.
     """
-    allocations = list(enumerate_connected_allocations(m, n))
-    return _max_adjacent_delta(n, m, allocations, lambda p, a: score(p, a, g))
+    allocations = connected_allocation_tuple(m, n)
+    return _max_adjacent_delta(
+        n, m, allocations, lambda p: scored_candidates(p, g)[1].tolist()
+    )
 
 
 def audit_f_sensitivity(m: int, n: int, g_b: int) -> SensitivityReport:
@@ -177,5 +181,5 @@ def audit_f_sensitivity(m: int, n: int, g_b: int) -> SensitivityReport:
         for h in range(lo, hi + 1)
     ]
     return _max_adjacent_delta(
-        n, m, positions, lambda p, x: f_value(p, *x, g_b, n_left, n_right)
+        n, m, positions, lambda p: [f_value(p, *x, g_b, n_left, n_right) for x in positions]
     )

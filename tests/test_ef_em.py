@@ -1,9 +1,14 @@
+import json
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpfair.ef_em as ef_em
+from dpfair import cli
 from dpfair.core import (
     ConnectedAllocation,
     EnumerationCapError,
@@ -14,10 +19,12 @@ from dpfair.core import (
     min_ef_c,
 )
 from dpfair.ef_em import (
+    connected_allocation_tuple,
     count_connected_allocations,
     dp_ef_allocate,
     enumerate_connected_allocations,
     score,
+    scored_candidates,
     scoring_truncation_budget,
 )
 from dpfair.mechanisms import RandomStream
@@ -108,6 +115,90 @@ def test_score_matches_definition_level_recomputation(rng):
     assert (3, -3, False) in seen  # found by bisecting past the gallop
     assert (2, -2, True) in seen and (3, -3, True) in seen  # no t qualifies
     assert (9, -1, False) in seen  # found at the first probe
+
+
+# Largest m per n at which brute_score over every candidate stays near 0.5 s.
+_BRUTE_MAX_M = {1: 8, 2: 8, 3: 5, 4: 4}
+
+
+@st.composite
+def _additive_score_cases(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, _BRUTE_MAX_M[n]))
+    palette = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6, unique=True))
+    values = tuple(
+        (0,) * m
+        if draw(st.booleans()) and draw(st.booleans())  # a zero row, one time in four
+        else tuple(draw(st.sampled_from((0, *palette))) for _ in range(m))
+        for _ in range(n)
+    )
+    scale = draw(st.integers(1, 3))
+    g = draw(st.sampled_from((1, 2, 3, m + 1)))
+    return UtilityProfile(n=n, m=m, scale=scale, values=values), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_additive_score_cases())
+def test_batched_scores_match_the_brute_definition(case):
+    p, g = case
+    candidates, scores = scored_candidates(p, g)
+    assert candidates == connected_allocation_tuple(p.m, p.n)
+    assert scores.tolist() == [brute_score(p, a, g) for a in candidates]
+
+
+@pytest.mark.parametrize("cells", [1, 22])
+def test_batched_scores_do_not_depend_on_the_block_size(monkeypatch, rng, cells):
+    # At g = 3 the blocks hold 1 and 7 candidates; 7 does not divide 171.
+    p = random_additive_profile(rng, n=3, m=8, max_value=4)
+    g = 3
+    candidates = connected_allocation_tuple(p.m, p.n)
+    assert len(candidates) == 171
+    expected = ef_em._additive_scores(p, candidates, g)
+    monkeypatch.setattr(ef_em, "_SCORE_BLOCK_CELLS", cells)
+    got = ef_em._additive_scores(p, candidates, g)
+    assert got.tolist() == expected.tolist() == [score(p, a, g) for a in candidates]
+
+
+def test_batched_scores_at_the_benchmark_size_cover_every_level():
+    # n = 3, m = 60, values 0..4, epsilon 8, beta 0.1: g = 16 and 10,623
+    # candidates.  The sample takes the first three candidates of each level
+    # plus 100 random ones.
+    rows = np.random.default_rng(60).integers(0, 5, size=(3, 60))
+    p = UtilityProfile.additive(rows.tolist())
+    g = scoring_truncation_budget(60, 3, 8.0, 0.1)
+    assert g == 16
+    candidates, scores = scored_candidates(p, g)
+    assert len(candidates) == 10_623
+    assert set(scores.tolist()) == set(range(-g, 0))
+    sample = {int(k) for level in range(-g, 0) for k in np.flatnonzero(scores == level)[:3]}
+    sample |= set(np.random.default_rng(0).choice(len(candidates), 100, replace=False).tolist())
+    for k in sorted(sample):
+        assert scores[k] == score(p, candidates[k], g)
+
+
+@pytest.mark.parametrize("values", [[[2**62, 1], [1, 2**62]], [[2**63, 0], [0, 1]]])
+def test_scores_with_row_sums_near_and_beyond_int64(values):
+    # The first row sums fit int64 and are scored in batch; 2**63 does not
+    # fit, so that profile is scored candidate by candidate.
+    p = UtilityProfile.additive(values)
+    for g in (1, 2, 3):
+        candidates, scores = scored_candidates(p, g)
+        assert scores.tolist() == [score(p, a, g) for a in candidates]
+
+
+def test_general_profiles_score_by_the_definition(rng):
+    p = random_general_profile(rng, 2, 5)
+    for g in (1, 2, 3, 6):
+        candidates, scores = scored_candidates(p, g)
+        assert scores.tolist() == [brute_score(p, a, g) for a in candidates]
+
+
+def test_score_vector_is_read_only_and_compact():
+    p = UtilityProfile.additive([[1, 0, 2], [0, 3, 1]])
+    _, scores = scored_candidates(p, 3)
+    assert scores.dtype == np.int8 and not scores.flags.writeable
+    _, scores = scored_candidates(p, 200)
+    assert scores.dtype == np.int16
 
 
 def test_scoring_truncation_budget_example():
@@ -202,3 +293,51 @@ def test_allocator_deterministic_replay():
     a = dp_ef_allocate(profile, params, RandomStream(77))
     b = dp_ef_allocate(profile, params, RandomStream(77))
     assert a == b
+
+
+def test_seeded_output_is_pinned():
+    # Recorded before candidates were scored in one batched pass; any change
+    # to a score, to the candidate order or to the draw moves some span.
+    params = PrivacyParams(epsilon=8.0, beta=0.1)
+    expected = {
+        1: ((42, 60), (1, 20), (21, 41)),
+        2: ((25, 43), (1, 24), (44, 60)),
+        3: ((1, 19), (20, 38), (39, 60)),
+    }
+    for seed, spans in expected.items():
+        rows = np.random.default_rng(seed).integers(0, 5, size=(3, 60))
+        report = dp_ef_allocate(UtilityProfile.additive(rows.tolist()), params, RandomStream(seed))
+        assert report.allocation.spans == spans
+        assert (report.score, report.g, report.candidate_count) == (-1, 16, 10_623)
+
+
+def test_exact_distribution_is_pinned():
+    # Recorded before candidates were scored in one batched pass: g = 2 gives
+    # two score levels, and every probability must match to the last bit.
+    p = UtilityProfile.additive([[2, 1, 3, 1], [1, 1, 2, 0]])
+    distribution = exact_em_distribution(p, PrivacyParams(epsilon=2.0, beta=0.1), g=2)
+    low = ConnectedAllocation(spans=(None, (1, 4)))
+    assert len(distribution) == 8
+    for allocation, probability in distribution.items():
+        pinned = "0x1.990725950fc88p-5" if allocation == low else "0x1.15f69a161add6p-3"
+        assert probability.hex() == pinned
+
+
+def test_score_cache_holds_one_vector_per_profile_and_g(tmp_path):
+    cache = ef_em._score_cached
+    assert cache.cache_info().maxsize <= 16
+    p = UtilityProfile.additive([[3, 1, 4, 1, 5], [9, 2, 6, 5, 3]])
+    params = PrivacyParams(epsilon=3.0, beta=0.1)
+    before = cache.cache_info()
+    first = dp_ef_allocate(p, params, RandomStream(1))
+    second = dp_ef_allocate(p, params, RandomStream(2))
+    after = cache.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert type(first.score) is int and type(second.score) is int
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"n": 2, "m": 5, "scale": 1, "values": [list(r) for r in p.values]}))
+    out = tmp_path / "report.json"
+    argv = ["allocate-ef", "--instance", str(path), "--epsilon", "3", "--seed", "1", "--out", str(out)]
+    assert cli.run(argv) == cli.EXIT_OK
+    metadata = json.loads(out.read_text())["metadata"]
+    assert type(metadata["score"]) is int and metadata["score"] == first.score
