@@ -27,10 +27,12 @@ from typing import Optional
 from . import audit as audit_mod
 from . import generators, oracles, prop_knife
 from .core import (
+    Adjacency,
     ConnectedAllocation,
     EnumerationCapError,
     PrivacyParams,
     UtilityProfile,
+    adjacency_distance,
     is_ef_c,  # not called here; bench/tracing.py expects it bound in this module
     is_prop_c,  # not called here; bench/tracing.py expects it bound in this module
     min_ef_c,
@@ -309,20 +311,20 @@ def _cmd_audit(args) -> int:
         params = _params(args)
         p1 = read_instance(args.instance1)
         p2 = read_instance(args.instance2)
+        distance = adjacency_distance(p1, p2, Adjacency.AGENT_ITEM_LEVEL)
+        if args.check == "privacy-ratio" and distance != 1:
+            raise InstanceFormatError(
+                f"privacy-ratio needs instances one cell apart, not {distance}; use 'audit group'"
+            )
         if args.exact:
             if args.algorithm != "ef":
                 raise InstanceFormatError("--exact audits are available for --algorithm ef only")
             ratio = audit_mod.exact_em_ratio_check(p1, p2, params, args.enum_cap, g=args.g)
         else:
             mechanism = _mechanism_for(args.algorithm, params, args.enum_cap)
-            if args.check == "privacy-ratio":
-                ratio = audit_mod.estimate_privacy_ratio(
-                    mechanism, p1, p2, params.epsilon, args.trials, stream
-                )
-            else:
-                ratio = audit_mod.group_privacy_check(
-                    mechanism, p1, p2, params.epsilon, args.trials, stream
-                )
+            sampled = (audit_mod.estimate_privacy_ratio if args.check == "privacy-ratio"
+                       else audit_mod.group_privacy_check)
+            ratio = sampled(mechanism, p1, p2, params.epsilon, args.trials, stream)
         result = _ratio_report_dict(ratio)
     elif args.check == "sensitivity":
         if args.which == "score":

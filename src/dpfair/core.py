@@ -259,6 +259,24 @@ def scaled_truncated(profile: UtilityProfile, agent: int, items: Iterable[int], 
     )
 
 
+def threshold_counts(values: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """An additive row as weighted thresholds, for truncating any interval of it.
+
+    One ``(w, c)`` per distinct positive value ``v``, ascending: ``w`` is ``v``
+    minus the next lower one (or 0), and ``c[j]`` counts the items of
+    ``values[:j]`` worth at least ``v``.  The ``k`` largest items of
+    ``values[s:e]`` take ``min(k, c[e] - c[s])`` off every count, so its
+    :func:`scaled_truncated` value is ``sum(w * max(c[e] - c[s] - k, 0))``;
+    counts fall as ``v`` rises, so each term after a zero one is zero.
+    """
+    table, below = [], 0
+    for v in sorted(set(values) - {0}):
+        counts = itertools.accumulate([x >= v for x in values], initial=0)
+        table.append((v - below, tuple(counts)))
+        below = v
+    return table
+
+
 def scaled_top_k(profile: UtilityProfile, agent: int, items: Iterable[int], k: int) -> int:
     """Scaled value of the best sub-bundle of ``items`` with at most ``k`` items."""
     if k < 0:

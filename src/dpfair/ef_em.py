@@ -26,6 +26,7 @@ from .core import (
     is_ef_d_wrt_truncated,
     least_true,
     min_ef_c,
+    threshold_counts,
 )
 from .mechanisms import RandomStream, exponential_mechanism
 
@@ -165,12 +166,10 @@ def _additive_scores(
 ) -> np.ndarray:
     """:func:`score` of every candidate of an additive profile, in blocks of candidates.
 
-    Agent i's k-truncated value of the items in ``[s, e)`` is its total
-    there minus ``sum_d v_d * clip(k - above_d, 0, held_d)`` over i's
-    distinct positive values ``v_d`` in descending order, where ``held_d``
-    counts the items worth ``v_d`` in ``[s, e)`` and ``above_d`` the items
-    worth more; both come from prefix counts.  Every t in ``[1, g]`` is
-    tested at once, and since the qualifying set is upward closed (see
+    An agent's k-truncated bundle value is ``sum(w * max(held - k, 0))`` over
+    the thresholds ``(w, c)`` of its row's :func:`~dpfair.core.threshold_counts`,
+    ``held`` being a difference of two entries of ``c``.  Every t in ``[1, g]``
+    is tested at once, and since the qualifying set is upward closed (see
     :func:`score`), the least qualifying t is ``g + 1`` minus their number.
     """
     n = profile.n
@@ -179,14 +178,11 @@ def _additive_scores(
         dtype=np.intp,
     ).reshape(len(candidates), n, 2)
     starts, ends = bounds[:, :, 0] - 1, bounds[:, :, 1]  # items [s, e), 0-based; empty is [0, 0)
-    tables = []
-    for values in profile.values:
-        row = np.asarray(values, dtype=np.int64)
-        levels = np.array(sorted(set(values) - {0}, reverse=True), dtype=np.int64)
-        counts = np.zeros((len(levels), len(row) + 1), dtype=np.int64)
-        np.cumsum(row == levels[:, None], axis=1, out=counts[:, 1:])
-        totals = np.concatenate(([0], np.cumsum(row)))
-        tables.append((levels, counts, totals))
+    tables = [
+        (np.array([w for w, _ in table], dtype=np.int64),
+         np.array([c for _, c in table], dtype=np.int64).reshape(-1, profile.m + 1))
+        for table in map(threshold_counts, profile.values)
+    ]
     own_k = np.arange(g - 1, -1, -1)  # g - t for t = 1..g
     other_k = np.arange(g + 1, 2 * g + 1)  # g + t
     block = max(1, _SCORE_BLOCK_CELLS // g)
@@ -194,29 +190,21 @@ def _additive_scores(
     for first in range(0, len(candidates), block):
         s, e = starts[first : first + block], ends[first : first + block]
         passes = np.ones((len(s), g), dtype=bool)
-        for i, (levels, counts, totals) in enumerate(tables):
-            held = counts[:, e] - counts[:, s]  # (value level, candidate, bundle)
-            above = np.cumsum(held, axis=0) - held
-            worth = totals[e] - totals[s]
-            own = _truncated(levels, held[:, :, i], above[:, :, i], worth[:, i], own_k)
+        for i, (weights, counts) in enumerate(tables):
+            held = counts[:, e] - counts[:, s]  # (threshold, candidate, bundle)
+            own = _truncated(weights, held[:, :, i], own_k)
             for j in range(n):
                 if j != i:
-                    passes &= own >= _truncated(
-                        levels, held[:, :, j], above[:, :, j], worth[:, j], other_k
-                    )
+                    passes &= own >= _truncated(weights, held[:, :, j], other_k)
         qualifying[first : first + len(s)] = passes.sum(axis=1)
     return np.maximum(qualifying - (g + 1), -g)  # -min(least t, g)
 
 
-def _truncated(levels, held, above, worth, ks) -> np.ndarray:
+def _truncated(weights, held, ks) -> np.ndarray:
     """k-truncated values of a block of bundles: one row per bundle, one column per k."""
-    value = np.repeat(worth[:, None], len(ks), axis=1)
-    removed = np.empty_like(value)
-    for v, c, b in zip(levels, held, above):
-        np.subtract(ks, b[:, None], out=removed)
-        np.clip(removed, 0, c[:, None], out=removed)
-        removed *= v
-        value -= removed
+    value = np.zeros((held.shape[1], len(ks)), dtype=np.int64)
+    for w, c in zip(weights, held):
+        value += w * np.maximum(c[:, None] - ks, 0)
     return value
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import subprocess
 import sys
 
@@ -196,6 +197,29 @@ def test_audit_privacy_ratio_exact(tmp_path, capsys):
     result = json.loads(text)["result"]
     assert result["mode"] == "exact"
     assert result["passed"] is True
+
+
+@pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["sampled", "exact"])
+def test_privacy_ratio_needs_instances_one_cell_apart(tmp_path, capsys, mode):
+    p1 = write_instance(tmp_path, "a.json", [[1, 0, 1], [0, 1, 1]])
+    p2 = write_instance(tmp_path, "b.json", [[1, 1, 1], [0, 1, 0]])
+    pair = ["--instance1", p1, "--instance2", p2, "--algorithm", "ef", *mode]
+    code, text, err = run_cli(["audit", "privacy-ratio", *pair], capsys)
+    assert code == 2 and text == ""
+    assert "not 2" in err and "audit group" in err
+    code, text, _ = run_cli(["audit", "group", *pair, "--trials", "50"], capsys)
+    assert code == 0
+    assert json.loads(text)["result"]["bound"] == pytest.approx(math.exp(2.0))
+
+
+@pytest.mark.parametrize("mode", [[], ["--exact"]], ids=["sampled", "exact"])
+def test_privacy_ratio_refuses_general_kind_pairs(tmp_path, capsys, mode):
+    p1 = write_instance(tmp_path, "a.json", [[1]], kind="general", tables=[[0, 1]])
+    p2 = write_instance(tmp_path, "b.json", [[2]], kind="general", tables=[[0, 2]])
+    code, _, err = run_cli(
+        ["audit", "privacy-ratio", "--instance1", p1, "--instance2", p2, *mode], capsys
+    )
+    assert code == 2 and "additive" in err
 
 
 def test_audit_sensitivity(capsys):

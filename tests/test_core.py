@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpfair.core import (
@@ -18,6 +18,8 @@ from dpfair.core import (
     least_true,
     min_ef_c,
     min_prop_c,
+    scaled_truncated,
+    threshold_counts,
     top_k_utility,
     truncated_utility,
 )
@@ -393,6 +395,33 @@ def test_score_predicate_monotone_in_t(seed, general, g):
     for allocation in enumerate_connected_allocations(m, n):
         holds = [is_ef_d_wrt_truncated(p, allocation, 2 * t, g - t) for t in range(1, g + 1)]
         assert holds == sorted(holds)
+
+
+# Rows drawn from a palette of up to 10 distinct values, some past int64.
+_palettes = st.lists(
+    st.one_of(st.integers(0, 12), st.integers(2**63 - 2, 2**70)),
+    min_size=1, max_size=10, unique=True,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@example(row=[])
+@example(row=[0, 0, 0, 0])
+@example(row=[3, 3, 0, 3, 1, 1])
+@example(row=[2**63, 0, 2**63 + 1, 2**64, 2**63])
+@given(row=_palettes.flatmap(lambda palette: st.lists(st.sampled_from(palette), max_size=12)))
+def test_threshold_counts_give_every_truncated_interval(row):
+    table = threshold_counts(row)
+    assert all(w > 0 for w, _ in table)
+    p = UtilityProfile.additive([row])
+    for s in range(len(row) + 1):
+        for e in range(s, len(row) + 1):
+            # Counts fall as thresholds rise, so a sum may stop at its first zero term.
+            held = [c[e] - c[s] for _, c in table]
+            assert held == sorted(held, reverse=True)
+            for k in range(len(row) + 3):
+                form = sum(w * max(c[e] - c[s] - k, 0) for w, c in table)
+                assert form == scaled_truncated(p, 1, range(s + 1, e + 1), k)
 
 
 def test_fast_paths_agree_with_brute_force_small(rng):

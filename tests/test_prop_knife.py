@@ -159,6 +159,24 @@ def test_scan_matches_per_position_f_value(rng):
     assert starts_inside > 0
 
 
+def test_scan_stays_exact_past_int64(rng):
+    # Values near 2**70 that differ in their lowest bits: int64 would wrap
+    # them and floats would round them together.
+    for _ in range(30):
+        m = int(rng.integers(1, 25))
+        row = [2**70 + int(v) if v else 0 for v in rng.integers(0, 5, size=m)]
+        p = UtilityProfile.additive([row])
+        lo = int(rng.integers(1, m + 1))
+        hi = int(rng.integers(lo, m + 1))
+        n_left, n_right = (int(v) for v in rng.choice([1, 2, 3], size=2))
+        for g_b in (1, 2, 5, hi - lo + 2):
+            expected = [sorted_f(row, lo, hi, h, g_b, n_left, n_right) for h in range(lo, hi + 1)]
+            assert list(prop_knife._cut_values(p, 1, lo, hi, lo, g_b, n_left, n_right)) == expected
+            assert [
+                f_value(p, 1, lo, hi, h, g_b, n_left, n_right) for h in range(lo, hi + 1)
+            ] == expected
+
+
 def test_cut_queries_of_an_empty_range_are_empty():
     p = UtilityProfile.additive([[1, 2, 3]])
     assert list(prop_knife._cut_queries(p, 1, 3, 2, 8, 1, 1)) == []
