@@ -311,11 +311,13 @@ def _cmd_audit(args) -> int:
         params = _params(args)
         p1 = read_instance(args.instance1)
         p2 = read_instance(args.instance2)
-        distance = adjacency_distance(p1, p2, Adjacency.AGENT_ITEM_LEVEL)
-        if args.check == "privacy-ratio" and distance != 1:
-            raise InstanceFormatError(
-                f"privacy-ratio needs instances one cell apart, not {distance}; use 'audit group'"
-            )
+        if args.check == "privacy-ratio":
+            distance = adjacency_distance(p1, p2, Adjacency.AGENT_ITEM_LEVEL)
+            if distance != 1:
+                raise InstanceFormatError(
+                    f"privacy-ratio needs instances one cell apart, not {distance}; "
+                    "use 'audit group'"
+                )
         if args.exact:
             if args.algorithm != "ef":
                 raise InstanceFormatError("--exact audits are available for --algorithm ef only")

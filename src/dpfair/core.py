@@ -268,6 +268,9 @@ def threshold_counts(values: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]
     ``values[s:e]`` take ``min(k, c[e] - c[s])`` off every count, so its
     :func:`scaled_truncated` value is ``sum(w * max(c[e] - c[s] - k, 0))``;
     counts fall as ``v`` rises, so each term after a zero one is zero.
+    The table holds ``D * (len(values) + 1)`` counts for ``D`` distinct
+    positive values, so it suits short rows such as the EF scorer's; the
+    moving knife's long ranges truncate sorted pieces instead.
     """
     table, below = [], 0
     for v in sorted(set(values) - {0}):

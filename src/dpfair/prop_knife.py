@@ -12,11 +12,12 @@ to at most the total budget.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import ConnectedAllocation, PrivacyParams, UtilityProfile, least_true, threshold_counts
+from .core import ConnectedAllocation, PrivacyParams, UtilityProfile, least_true
 from .mechanisms import RandomStream, above_threshold
 
 _ADDITIVE_ONLY = "the moving-knife allocator requires additive utilities"
@@ -101,8 +102,8 @@ def f_value(
     makes the qualifying set downward closed, so the least rejected ``t`` is
     searched with :func:`~dpfair.core.least_true`.  The value is
     nondecreasing in ``h``: moving an item into the left piece never lowers
-    its truncated value and never raises the right piece's.  Both pieces are
-    read off one :func:`~dpfair.core.threshold_counts` table of ``[lo, hi]``.
+    its truncated value and never raises the right piece's.  This is the
+    first step of the incremental scan the allocator runs over ``h = lo..hi``.
     Like :func:`dp_moving_knife`, it accepts only additive profiles.
     """
     return next(_cut_values(profile, agent, lo, hi, h, g_b, n_left, n_right))
@@ -118,7 +119,8 @@ def _cut_values(
     n_left: int,
     n_right: int,
 ) -> Iterator[int]:
-    # Yields f_value at h, h+1, ..., hi; a cut's pieces are [0, cut), [cut, size).
+    # Yields f_value at h, h+1, ..., hi.  Each piece is sorted once,
+    # ascending; a step moves item h+1 from the right piece to the left one.
     if not 1 <= lo <= h <= hi <= profile.m:
         raise ValueError(f"invalid range lo={lo} h={h} hi={hi} for m={profile.m}")
     if n_left < 1 or n_right < 1:
@@ -127,27 +129,34 @@ def _cut_values(
         raise ValueError("g_b must be a positive integer")
     if profile.kind != "additive":
         raise ValueError(_ADDITIVE_ONLY)
-    table = threshold_counts(profile.values[agent - 1][lo - 1 : hi])
-    size = hi - lo + 1
-
-    def kept(s: int, e: int, k: int) -> int:
-        total = 0
-        for w, c in table:
-            if (above := c[e] - c[s] - k) <= 0:
-                break
-            total += w * above
-        return total
+    row = profile.values[agent - 1]
+    left = sorted(row[lo - 1 : h])
+    right = sorted(row[h:hi])
+    left_total = sum(left)
+    right_total = sum(right)
 
     def rejected(t: int) -> bool:
-        return n_right * kept(0, cut, g_b + t) < n_left * kept(cut, size, g_b - t)
+        # k-truncated value of an ascending piece: total minus its k largest.
+        # Probed t exceed g_b - len(right), so the right slice start is >= 1.
+        kept_left = left_total - sum(left[max(len(left) - g_b - t, 0) :])
+        kept_right = right_total - sum(right[len(right) - g_b + t :])
+        return n_right * kept_left < n_left * kept_right
 
     least = 1
-    for cut in range(h - lo + 1, size + 1):
-        # No t <= g_b - (size - cut) is rejected (the right piece is
-        # truncated to nothing), and since f is nondecreasing in h, neither
-        # is any t below the previous answer.
-        least = least_true(rejected, max(least, g_b - size + cut + 1), g_b)
+    while True:
+        # No t <= g_b - len(right) is rejected (the right piece is truncated
+        # to nothing), and since f is nondecreasing in h, neither is any t
+        # below the previous answer.
+        least = least_true(rejected, max(least, g_b - len(right) + 1), g_b)
         yield least - 1
+        if h == hi:
+            return
+        item = row[h]  # item h + 1
+        del right[bisect_left(right, item)]
+        insort(left, item)
+        left_total += item
+        right_total -= item
+        h += 1
 
 
 def dp_moving_knife(
