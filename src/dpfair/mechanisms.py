@@ -70,7 +70,11 @@ def sample_laplace(stream: RandomStream, scale: float) -> float:
     """
     if scale <= 0:
         raise ValueError("Laplace scale must be positive")
-    v = stream.generator.random()
+    return _laplace(stream.generator.random(), scale)
+
+
+def _laplace(v: float, scale: float) -> float:
+    # The inverse-CDF transform of sample_laplace, applied to the uniform v.
     if v == 0.0:
         v = 2.0 ** -53
     p = v - 0.5
@@ -128,11 +132,14 @@ def above_threshold(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     rho = sample_laplace(stream, 2.0 / epsilon)
+    # Each query's Laplace(4/epsilon) noise is the next uniform of the same
+    # generator, mapped as sample_laplace maps it.
+    random = stream.generator.random
+    scale = 4.0 / epsilon
     consumed = 0
     for index, value in enumerate(queries):
         consumed += 1
-        nu = sample_laplace(stream, 4.0 / epsilon)
-        if value + nu >= tau + rho:
+        if value + _laplace(random(), scale) >= tau + rho:
             return SvtOutcome(index=index, queries_consumed=consumed)
     return SvtOutcome(index=None, queries_consumed=consumed)
 

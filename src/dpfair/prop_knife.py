@@ -12,7 +12,7 @@ to at most the total budget.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -132,15 +132,32 @@ def _cut_values(
     row = profile.values[agent - 1]
     left = sorted(row[lo - 1 : h])
     right = sorted(row[h:hi])
-    left_total = sum(left)
-    right_total = sum(right)
+    # Each piece holds a cursor and the sum of its items below the cursor,
+    # which are its smallest.  A probe moves a cursor to the number of items
+    # its piece keeps and pays only the distance moved.
+    left_at, left_kept = 0, 0
+    right_at, right_kept = len(right), sum(right)
 
     def rejected(t: int) -> bool:
-        # k-truncated value of an ascending piece: total minus its k largest.
-        # Probed t exceed g_b - len(right), so the right slice start is >= 1.
-        kept_left = left_total - sum(left[max(len(left) - g_b - t, 0) :])
-        kept_right = right_total - sum(right[len(right) - g_b + t :])
-        return n_right * kept_left < n_left * kept_right
+        # k-truncated value of an ascending piece: the sum of all but its k
+        # largest items.  Probed t exceed g_b - len(right), so the right
+        # piece keeps at least one item.
+        nonlocal left_at, left_kept, right_at, right_kept
+        at = max(len(left) - g_b - t, 0)
+        while left_at < at:
+            left_kept += left[left_at]
+            left_at += 1
+        while left_at > at:
+            left_at -= 1
+            left_kept -= left[left_at]
+        at = len(right) - g_b + t
+        while right_at < at:
+            right_kept += right[right_at]
+            right_at += 1
+        while right_at > at:
+            right_at -= 1
+            right_kept -= right[right_at]
+        return n_right * left_kept < n_left * right_kept
 
     least = 1
     while True:
@@ -152,10 +169,16 @@ def _cut_values(
         if h == hi:
             return
         item = row[h]  # item h + 1
-        del right[bisect_left(right, item)]
-        insort(left, item)
-        left_total += item
-        right_total -= item
+        at = bisect_left(right, item)
+        del right[at]
+        if at < right_at:
+            right_at -= 1
+            right_kept -= item
+        at = bisect_right(left, item)
+        if at < left_at:
+            # item joins the kept items and pushes out the largest of them.
+            left_kept += item - left[left_at - 1]
+        left.insert(at, item)
         h += 1
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpfair.mechanisms import (
     RandomStream,
@@ -205,3 +207,28 @@ def test_svt_lazy_consumption():
     out = above_threshold(RandomStream(34), queries(), tau=100.0, epsilon=1.0)
     assert out == SvtOutcome(index=2, queries_consumed=3)
     assert len(evaluated) == 3  # nothing past the selected query was evaluated
+
+
+def reference_above_threshold(stream, queries, tau, epsilon):
+    # The textbook loop: one sample_laplace call per consumed query.
+    rho = sample_laplace(stream, 2.0 / epsilon)
+    for index, value in enumerate(queries):
+        if value + sample_laplace(stream, 4.0 / epsilon) >= tau + rho:
+            return SvtOutcome(index=index, queries_consumed=index + 1)
+    return SvtOutcome(index=None, queries_consumed=len(queries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    queries=st.lists(st.integers(min_value=0, max_value=40), max_size=30),
+    tau=st.integers(min_value=0, max_value=40),
+    epsilon=st.floats(min_value=0.01, max_value=50.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_svt_draws_the_reference_loops_noise_in_order(queries, tau, epsilon, seed):
+    stream, twin = RandomStream(seed), RandomStream(seed)
+    values = [float(q) for q in queries]
+    assert above_threshold(stream, values, float(tau), epsilon) == reference_above_threshold(
+        twin, values, float(tau), epsilon
+    )
+    assert stream.generator.bit_generator.state == twin.generator.bit_generator.state

@@ -269,6 +269,29 @@ def test_seeded_output_is_pinned():
         assert record.svt_queries == tuple(h - record.lo + 1 for _, h in record.h_values)
 
 
+def test_seeded_output_is_pinned_where_every_level_scans():
+    # The benchmark's knife shape: g_b = 304/208/136 is below every range, so
+    # each SVT run walks hundreds of positions deep into the incremental scan.
+    # Recorded before the scan kept its piece sums at cursors.
+    params = PrivacyParams(epsilon=2.0, beta=0.1, svt_constant=1.0)
+    p = bernoulli_profile(5, 1500, RandomStream(7))
+    allocation, trace = dp_moving_knife(p, params, RandomStream(11))
+    assert allocation.spans == ((1, 440), (441, 716), (1330, 1500), (717, 1017), (1018, 1329))
+    assert [(r.agents, r.lo, r.hi, r.g_b, r.split) for r in trace.records] == [
+        ((1, 2, 3, 4, 5), 1, 1500, 304, 1017),
+        ((1, 2, 4), 1, 1017, 208, 716),
+        ((1, 2), 1, 716, 136, 440),
+        ((3, 5), 1018, 1500, 136, 1329),
+    ]
+    assert [(r.h_values, r.svt_queries) for r in trace.records] == [
+        (((1, 881), (2, 1017), (3, 1020), (4, 953), (5, 1037)), (881, 1017, 1020, 953, 1037)),
+        (((1, 679), (2, 716), (4, 716)), (679, 716, 716)),
+        (((1, 440), (2, 487)), (440, 487)),
+        (((3, 1345), (5, 1329)), (328, 312)),
+    ]
+    assert all(all(record.svt_fired) for record in trace.records)
+
+
 def test_prop_c_at_the_proof_chain_bound_in_the_papers_regime():
     # n = 2, m = 20000 at the default svt_constant: g_b = 2480 is below m, so
     # the cut is not forced to the range ends and the guarantee is not vacuous.
@@ -413,3 +436,29 @@ def test_proof_chain_c_known_value():
     params = PrivacyParams(epsilon=5.0, beta=0.1, svt_constant=16.0)
     # n = 4: both path sums are ceil(2 g_2 / 4) + ceil(2 g_1 / 2)
     assert proof_chain_c(200, 4, params) == 1216
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.integers(min_value=1, max_value=60),
+    distinct=st.booleans(),
+    n_left=st.integers(min_value=1, max_value=5),
+    n_right=st.integers(min_value=1, max_value=5),
+    data=st.data(),
+)
+def test_cursor_scan_matches_freshly_sorted_pieces(size, distinct, n_left, n_right, data):
+    # Rows full of duplicates (values 0..3) and rows of distinct values; g_b
+    # up to two past the range, so the cursors meet every piece size from
+    # empty to full.
+    values = st.integers(min_value=0, max_value=10**6 if distinct else 3)
+    row = data.draw(st.lists(values, min_size=size, max_size=size, unique=distinct))
+    p = UtilityProfile.additive([row])
+    span = data.draw(st.integers(min_value=1, max_value=size))
+    lo = data.draw(st.integers(min_value=1, max_value=size - span + 1))
+    hi = lo + span - 1
+    h0 = data.draw(st.integers(min_value=lo, max_value=hi))
+    # Small g_b leaves items below the left cursor, where insertions land.
+    g_b = data.draw(st.integers(min_value=1, max_value=3) | st.integers(min_value=1, max_value=span + 2))
+    assert list(prop_knife._cut_values(p, 1, lo, hi, h0, g_b, n_left, n_right)) == [
+        sorted_f(row, lo, hi, h, g_b, n_left, n_right) for h in range(h0, hi + 1)
+    ]
