@@ -31,9 +31,9 @@ from .core import (
 from .mechanisms import RandomStream, exponential_mechanism
 
 DEFAULT_ENUMERATION_CAP = 10**7
-# Candidates times g cells per block of the batched scorer, which bounds its
-# temporaries however large the candidate set or g is.
-_SCORE_BLOCK_CELLS = 1 << 15
+# Int64 cells of temporaries per block of the batched scorer (1 MB), which
+# bounds them however large the candidate set, g or the rows' value sets are.
+_SCORE_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,8 @@ def enumerate_connected_allocations(m: int, n: int) -> Iterator[ConnectedAllocat
 
     An allocation is determined by which ``k`` agents receive nonempty
     intervals, their left-to-right order, and a composition of ``m`` into
-    ``k`` positive parts; compositions are encoded as cut positions.
+    ``k`` positive parts; compositions are encoded as cut positions.  This
+    loop order is the candidate order, which :func:`_span_bounds` follows.
     """
     if m < 0 or n < 1:
         raise ValueError("need m >= 0 and n >= 1")
@@ -92,6 +93,35 @@ def enumerate_connected_allocations(m: int, n: int) -> Iterator[ConnectedAllocat
                     for block, agent in enumerate(order):
                         spans[agent - 1] = (bounds[block] + 1, bounds[block + 1])
                     yield ConnectedAllocation(spans=tuple(spans))
+
+
+def _span_bounds(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every candidate's bundles as 0-based item intervals ``[start, end)``.
+
+    Two ``(n, K)`` arrays in the order of :func:`enumerate_connected_allocations`,
+    built without materializing the candidates; an empty bundle is ``[0, 0)``.
+    Per ``k``, row ``r`` of one ``(comb(m - 1, k - 1), k + 1)`` array is
+    ``(0, *cuts, m)`` for the r-th cut combination, and it serves every
+    left-to-right order of ``k`` bundle holders.
+    """
+    dtype = np.min_scalar_type(m)
+    starts = np.zeros((n, count_connected_allocations(m, n)), dtype=dtype)
+    ends = np.zeros_like(starts)
+    first = 0
+    for k in range(1, min(n, m) + 1):
+        count = math.comb(m - 1, k - 1)
+        bounds = np.empty((count, k + 1), dtype=dtype)
+        bounds[:, 0], bounds[:, k] = 0, m
+        cuts = itertools.chain.from_iterable(itertools.combinations(range(1, m), k - 1))
+        bounds[:, 1:k] = np.fromiter(cuts, dtype, count * (k - 1)).reshape(count, k - 1)
+        for chosen in itertools.combinations(range(1, n + 1), k):
+            for order in itertools.permutations(chosen):
+                last = first + count
+                for block, agent in enumerate(order):
+                    starts[agent - 1, first:last] = bounds[:, block]
+                    ends[agent - 1, first:last] = bounds[:, block + 1]
+                first = last
+    return starts, ends
 
 
 @lru_cache(maxsize=256)
@@ -151,61 +181,67 @@ def scored_candidates(
 
 @lru_cache(maxsize=8)
 def _score_cached(profile: UtilityProfile, g: int) -> np.ndarray:
-    candidates = connected_allocation_tuple(profile.m, profile.n)
     if profile.kind == "additive" and max(map(sum, profile.values)) < 2**63:
-        scores = _additive_scores(profile, candidates, g)
+        scores = _additive_scores(profile, g)
     else:  # general tables, or sums that int64 arithmetic would wrap
+        candidates = connected_allocation_tuple(profile.m, profile.n)
         scores = [score(profile, allocation, g) for allocation in candidates]
     scores = np.asarray(scores, dtype=np.min_scalar_type(-g))
     scores.flags.writeable = False
     return scores
 
 
-def _additive_scores(
-    profile: UtilityProfile, candidates: tuple[ConnectedAllocation, ...], g: int
-) -> np.ndarray:
+def _additive_scores(profile: UtilityProfile, g: int) -> np.ndarray:
     """:func:`score` of every candidate of an additive profile, in blocks of candidates.
 
-    An agent's k-truncated bundle value is ``sum(w * max(held - k, 0))`` over
-    the thresholds ``(w, c)`` of its row's :func:`~dpfair.core.threshold_counts`,
-    ``held`` being a difference of two entries of ``c``.  Every t in ``[1, g]``
-    is tested at once, and since the qualifying set is upward closed (see
-    :func:`score`), the least qualifying t is ``g + 1`` minus their number.
+    An agent's k-truncated bundle value is ``w @ max(held - k, 0)`` over the
+    thresholds ``(w, c)`` of its row's :func:`~dpfair.core.threshold_counts`,
+    ``held`` being a difference of two entries of ``c``.  A candidate passes
+    at t when every agent i has ``own_i(g - t) >= other_ij(g + t)`` for every
+    j.  The passing t are upward closed (see :func:`score`), so a binary
+    descent over the block finds how many t fail; the least passing t is one
+    more.  The descent also probes t in ``(g, 2g)``; there the own bundle is
+    untruncated (``g - t`` clipped at 0), so no value exceeds its row's sum,
+    the test stays monotone in t, and a count past ``g - 1`` scores ``-g``.
+
+    Cost: ``ceil(log2(g + 1))`` steps, each O(n * D) per candidate for ``D``
+    thresholds over all rows, where testing every t cost O(n * D * g).
+    Memory: beside the ``(n, K)`` span bounds, a block holds its held counts
+    (``n * D`` per candidate), at most one more array of that size (a gather,
+    or one row's truncation) and O(n) small ones: at most
+    ``2 * (n * (D + 1) + 2)`` int64 cells per candidate, and a block has as
+    many candidates as keep that within ``_SCORE_BLOCK_CELLS``.
     """
     n = profile.n
-    bounds = np.array(
-        [span or (1, 0) for allocation in candidates for span in allocation.spans],
-        dtype=np.intp,
-    ).reshape(len(candidates), n, 2)
-    starts, ends = bounds[:, :, 0] - 1, bounds[:, :, 1]  # items [s, e), 0-based; empty is [0, 0)
-    tables = [
-        (np.array([w for w, _ in table], dtype=np.int64),
-         np.array([c for _, c in table], dtype=np.int64).reshape(-1, profile.m + 1))
-        for table in map(threshold_counts, profile.values)
-    ]
-    own_k = np.arange(g - 1, -1, -1)  # g - t for t = 1..g
-    other_k = np.arange(g + 1, 2 * g + 1)  # g + t
-    block = max(1, _SCORE_BLOCK_CELLS // g)
-    qualifying = np.empty(len(candidates), dtype=np.int64)
-    for first in range(0, len(candidates), block):
-        s, e = starts[first : first + block], ends[first : first + block]
-        passes = np.ones((len(s), g), dtype=bool)
-        for i, (weights, counts) in enumerate(tables):
-            held = counts[:, e] - counts[:, s]  # (threshold, candidate, bundle)
-            own = _truncated(weights, held[:, :, i], own_k)
-            for j in range(n):
-                if j != i:
-                    passes &= own >= _truncated(weights, held[:, :, j], other_k)
-        qualifying[first : first + len(s)] = passes.sum(axis=1)
-    return np.maximum(qualifying - (g + 1), -g)  # -min(least t, g)
-
-
-def _truncated(weights, held, ks) -> np.ndarray:
-    """k-truncated values of a block of bundles: one row per bundle, one column per k."""
-    value = np.zeros((held.shape[1], len(ks)), dtype=np.int64)
-    for w, c in zip(weights, held):
-        value += w * np.maximum(c[:, None] - ks, 0)
-    return value
+    starts, ends = _span_bounds(profile.m, n)
+    # An all-zero row has no thresholds: its agent values every bundle at 0 and envies none.
+    rows = [(i, table) for i, table in enumerate(map(threshold_counts, profile.values)) if table]
+    weights = [np.array([w for w, _ in table], dtype=np.int64) for _, table in rows]
+    counts = np.array([c for _, table in rows for _, c in table], dtype=np.int64)
+    counts = counts.reshape(-1, profile.m + 1)
+    offsets = np.cumsum([0, *map(len, weights)]).tolist()
+    block = max(1, _SCORE_BLOCK_CELLS // (2 * (n * (len(counts) + 1) + 2)))
+    failing = np.empty(starts.shape[1], dtype=np.int64)
+    for first in range(0, starts.shape[1], block):
+        s, e = starts[:, first : first + block], ends[:, first : first + block]
+        held = np.take(counts, e, axis=1)  # (threshold, bundle, candidate)
+        held -= np.take(counts, s, axis=1)
+        held -= g  # held - g - t items are left after the g + t largest go
+        below = np.zeros(s.shape[1], dtype=np.int64)  # every t <= below fails
+        step = 1 << (g.bit_length() - 1)
+        while step:
+            t = below + step
+            passes = np.ones(len(t), dtype=bool)
+            for (i, _), w, lo, hi in zip(rows, weights, offsets, offsets[1:]):
+                x = held[lo:hi] - t
+                x[:, i] += t + np.minimum(t, g)  # own bundle loses only its max(g - t, 0) largest
+                np.maximum(x, 0, out=x)
+                value = (w @ x.reshape(len(w), -1)).reshape(n, -1)
+                passes &= value[i] >= value.max(axis=0)
+            below[~passes] += step
+            step >>= 1
+        failing[first : first + len(below)] = below
+    return -np.minimum(failing + 1, g)
 
 
 def scoring_truncation_budget(m: int, n: int, epsilon: float, beta: float) -> int:

@@ -146,17 +146,71 @@ def test_batched_scores_match_the_brute_definition(case):
     assert scores.tolist() == [brute_score(p, a, g) for a in candidates]
 
 
-@pytest.mark.parametrize("cells", [1, 22])
+@pytest.mark.parametrize("cells", [1, 406])
 def test_batched_scores_do_not_depend_on_the_block_size(monkeypatch, rng, cells):
-    # At g = 3 the blocks hold 1 and 7 candidates; 7 does not divide 171.
+    # A block holds cells // (2(n(D + 1) + 2)) candidates, at least one, for
+    # D thresholds over all rows.  This profile has D = 8, so 58 cells per
+    # candidate: the blocks hold 1 and 7 candidates; 7 does not divide 171.
     p = random_additive_profile(rng, n=3, m=8, max_value=4)
     g = 3
     candidates = connected_allocation_tuple(p.m, p.n)
     assert len(candidates) == 171
-    expected = ef_em._additive_scores(p, candidates, g)
+    expected = ef_em._additive_scores(p, g)
     monkeypatch.setattr(ef_em, "_SCORE_BLOCK_CELLS", cells)
-    got = ef_em._additive_scores(p, candidates, g)
+    got = ef_em._additive_scores(p, g)
     assert got.tolist() == expected.tolist() == [score(p, a, g) for a in candidates]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_span_bounds_follow_the_candidate_order(n):
+    for m in range(9):  # m < n and m = 0 included
+        starts, ends = ef_em._span_bounds(m, n)
+        spans = [a.spans for a in connected_allocation_tuple(m, n)]
+        assert starts.shape == ends.shape == (n, len(spans))
+        # 0-based items [start, end); an empty bundle is [0, 0)
+        assert starts.T.tolist() == [[span[0] - 1 if span else 0 for span in row] for row in spans]
+        assert ends.T.tolist() == [[span[1] if span else 0 for span in row] for row in spans]
+
+
+def _least_qualifying_t(p, allocation, g):
+    # The score's least t, searched linearly; g + 1 when no t in [1, g] qualifies.
+    return next(
+        (t for t in range(1, g + 1) if is_ef_d_wrt_truncated(p, allocation, 2 * t, g - t)), g + 1
+    )
+
+
+_ZEROS_THEN_ONES = [[0, 0] + [1] * 12, [1] * 14]
+_DISTINCT_ROWS = [
+    np.random.default_rng(9).choice(1000, 12, replace=False).tolist(),  # D close to m
+    [0] * 12,
+    np.random.default_rng(10).integers(0, 1000, 12).tolist(),
+]
+
+
+@pytest.mark.parametrize(
+    "values,g,reached",
+    [
+        # Agent 1 values items 3..14 at 1 each.  Holding only worthless items,
+        # it envies a bundle of q of them until t >= q - g, so some splits
+        # qualify only at t = g and some at no t (least t = g + 1).  Neither
+        # g is of the form 2^j - 1.
+        (_ZEROS_THEN_ONES, 5, {1, 5, 6}),
+        (_ZEROS_THEN_ONES, 6, {1, 6, 7}),
+        # g = 2m + 3 truncates every bundle to nothing, so t = 1 qualifies.
+        ([[1, 0, 2, 3, 1], [0] * 5, [2, 2, 1, 0, 4]], 13, {1}),
+        (_DISTINCT_ROWS, 5, {1, 5, 6}),
+        (_DISTINCT_ROWS, 6, {1, 6}),
+    ],
+)
+def test_bisection_matches_the_definition_at_both_ends(values, g, reached):
+    # reached: least t values (g + 1 meaning none qualifies) that some candidate has
+    p = UtilityProfile.additive(values)
+    candidates = connected_allocation_tuple(p.m, p.n)
+    least = [_least_qualifying_t(p, a, g) for a in candidates]
+    assert reached <= set(least)
+    expected = [-min(t, g) for t in least]
+    assert ef_em._additive_scores(p, g).tolist() == expected
+    assert [score(p, a, g) for a in candidates] == expected
 
 
 def test_batched_scores_at_the_benchmark_size_cover_every_level():
@@ -176,12 +230,22 @@ def test_batched_scores_at_the_benchmark_size_cover_every_level():
         assert scores[k] == score(p, candidates[k], g)
 
 
-@pytest.mark.parametrize("values", [[[2**62, 1], [1, 2**62]], [[2**63, 0], [0, 1]]])
+@pytest.mark.parametrize(
+    "values",
+    [
+        [[2**62, 1], [1, 2**62]],
+        [[2**63, 0], [0, 1]],
+        # Five times the first row's maximum wraps int64, so the batch
+        # scorer's probes of t past g must not credit a bundle with more than
+        # it holds.  At g = 20, agent 1 holding items 1..38 has least t = 17.
+        [[2**61] + [0] * 38, [0] + [1] * 37 + [0]],
+    ],
+)
 def test_scores_with_row_sums_near_and_beyond_int64(values):
-    # The first row sums fit int64 and are scored in batch; 2**63 does not
-    # fit, so that profile is scored candidate by candidate.
+    # Row sums below 2**63 are scored in batch; 2**63 does not fit, so that
+    # profile is scored candidate by candidate.
     p = UtilityProfile.additive(values)
-    for g in (1, 2, 3):
+    for g in (1, 2, 3, 20):
         candidates, scores = scored_candidates(p, g)
         assert scores.tolist() == [score(p, a, g) for a in candidates]
 

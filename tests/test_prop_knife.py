@@ -182,20 +182,25 @@ def test_cut_queries_of_an_empty_range_are_empty():
     assert list(prop_knife._cut_queries(p, 1, 3, 2, 8, 1, 1)) == []
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    row=st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=25),
-    g_b=st.integers(min_value=1, max_value=30),
+    size=st.integers(min_value=1, max_value=60),
     n_left=st.integers(min_value=1, max_value=4),
     n_right=st.integers(min_value=1, max_value=4),
     data=st.data(),
 )
-def test_f_value_nondecreasing_in_h(row, g_b, n_left, n_right, data):
+def test_f_value_nondecreasing_in_h(size, n_left, n_right, data):
+    row = data.draw(st.lists(st.integers(min_value=0, max_value=10), min_size=size, max_size=size))
     p = UtilityProfile.additive([row])
-    lo = data.draw(st.integers(min_value=1, max_value=len(row)))
-    hi = data.draw(st.integers(min_value=lo, max_value=len(row)))
+    span = data.draw(st.integers(min_value=1, max_value=size))
+    lo = data.draw(st.integers(min_value=1, max_value=size - span + 1))
+    hi = lo + span - 1
+    # Small g_b leaves items below the left cursor, where the scan's insertions land.
+    g_b = data.draw(st.integers(1, 3) | st.integers(1, span + 2))
     values = [f_value(p, 1, lo, hi, h, g_b, n_left, n_right) for h in range(lo, hi + 1)]
     assert values == sorted(values)
+    # The scan starts each search at the previous value, which only this order allows.
+    assert list(prop_knife._cut_values(p, 1, lo, hi, lo, g_b, n_left, n_right)) == values
 
 
 def test_f_value_rejects_general_kind():
