@@ -124,7 +124,6 @@ def _sampled_ratio_report(
     bound: float,
     samples: int,
     stream: RandomStream,
-    z: float = DEFAULT_Z,
 ) -> RatioReport:
     if samples < 1:
         raise ValueError("need at least one sample per input")
@@ -145,8 +144,8 @@ def _sampled_ratio_report(
     for o in outcomes:
         c1 = counts1.get(o, 0)
         c2 = counts2.get(o, 0)
-        lo1, hi1 = wilson_interval(c1, samples, z)
-        lo2, hi2 = wilson_interval(c2, samples, z)
+        lo1, hi1 = wilson_interval(c1, samples)
+        lo2, hi2 = wilson_interval(c2, samples)
         # Confident violation in either direction: even the most favorable
         # probabilities inside the intervals would break the bound.
         if lo1 > bound * hi2 or lo2 > bound * hi1:
@@ -179,21 +178,11 @@ def estimate_privacy_ratio(
     samples: int,
     stream: RandomStream,
 ) -> RatioReport:
-    """Sampled privacy-ratio audit of a black-box mechanism against e^epsilon."""
+    """Sampled privacy-ratio audit of a black-box mechanism against e^epsilon.
+
+    For profiles k cells apart, pass ``k * epsilon`` to audit group privacy.
+    """
     return _sampled_ratio_report(mechanism, p1, p2, math.exp(epsilon), samples, stream)
-
-
-def group_privacy_check(
-    mechanism: Mechanism,
-    p1: UtilityProfile,
-    p2: UtilityProfile,
-    epsilon: float,
-    samples: int,
-    stream: RandomStream,
-) -> RatioReport:
-    """Sampled group-privacy audit: the bound scales with the edit distance."""
-    k = adjacency_distance(p1, p2, Adjacency.AGENT_ITEM_LEVEL)
-    return _sampled_ratio_report(mechanism, p1, p2, math.exp(k * epsilon), samples, stream)
 
 
 @dataclass(frozen=True)

@@ -254,12 +254,9 @@ def _cmd_gen(args) -> int:
             payload = {
                 "family": args.kind,
                 "params": {
-                    "n": family.n,
-                    "m": family.m,
-                    "c": family.c,
-                    "T": family.T,
-                    "block_width": family.block_width,
-                    "expected_distance": family.expected_distance,
+                    field.name: getattr(family, field.name)
+                    for field in fields(family)
+                    if field.name not in ("base", "variants")
                 },
                 "base": profile_to_dict(family.base),
                 "variants": [profile_to_dict(v) for v in family.variants],
@@ -311,22 +308,22 @@ def _cmd_audit(args) -> int:
         params = _params(args)
         p1 = read_instance(args.instance1)
         p2 = read_instance(args.instance2)
-        if args.check == "privacy-ratio":
-            distance = adjacency_distance(p1, p2, Adjacency.AGENT_ITEM_LEVEL)
-            if distance != 1:
-                raise InstanceFormatError(
-                    f"privacy-ratio needs instances one cell apart, not {distance}; "
-                    "use 'audit group'"
-                )
+        distance = adjacency_distance(p1, p2, Adjacency.AGENT_ITEM_LEVEL)
+        if args.check == "privacy-ratio" and distance != 1:
+            raise InstanceFormatError(
+                f"privacy-ratio needs instances one cell apart, not {distance}; "
+                "use 'audit group'"
+            )
         if args.exact:
             if args.algorithm != "ef":
                 raise InstanceFormatError("--exact audits are available for --algorithm ef only")
             ratio = audit_mod.exact_em_ratio_check(p1, p2, params, args.enum_cap, g=args.g)
         else:
             mechanism = _mechanism_for(args.algorithm, params, args.enum_cap)
-            sampled = (audit_mod.estimate_privacy_ratio if args.check == "privacy-ratio"
-                       else audit_mod.group_privacy_check)
-            ratio = sampled(mechanism, p1, p2, params.epsilon, args.trials, stream)
+            # Group privacy: profiles k cells apart are held to e^(k epsilon).
+            ratio = audit_mod.estimate_privacy_ratio(
+                mechanism, p1, p2, distance * params.epsilon, args.trials, stream
+            )
         result = _ratio_report_dict(ratio)
     elif args.check == "sensitivity":
         if args.which == "score":

@@ -53,24 +53,6 @@ class PackingFamily:
     T: int
     block_width: int
     expected_distance: int
-    criterion: str  # "ef" or "prop"
-
-
-def _packing_profiles(
-    n: int, m: int, block_width: int, T: int, suffix_start: int
-) -> tuple[UtilityProfile, tuple[UtilityProfile, ...]]:
-    suffix_row = tuple(1 if j >= suffix_start else 0 for j in range(1, m + 1))
-    zero_row = (0,) * m
-    base_rows = (zero_row, zero_row) + (suffix_row,) * (n - 2)
-    base = UtilityProfile(n=n, m=m, scale=1, values=base_rows)
-    variants = []
-    for t in range(1, T + 1):
-        block_row = tuple(
-            1 if (j - 1) // block_width == t - 1 else 0 for j in range(1, m + 1)
-        )
-        rows = (block_row, block_row) + (suffix_row,) * (n - 2)
-        variants.append(UtilityProfile(n=n, m=m, scale=1, values=rows))
-    return base, tuple(variants)
 
 
 def default_ef_packing_c(m: int, epsilon: float, n: int, zeta: float = 0.01) -> int:
@@ -80,6 +62,46 @@ def default_ef_packing_c(m: int, epsilon: float, n: int, zeta: float = 0.01) -> 
 def default_prop_packing_c(m: int, epsilon: float, n: int, zeta: float = 0.01) -> int:
     return math.floor(
         zeta * min(math.log(m / n) / (epsilon * n), m / n, math.sqrt(m / n))
+    )
+
+
+def _packing_family(
+    n: int,
+    m: int,
+    c: Optional[int],
+    T: Optional[int],
+    epsilon: Optional[float],
+    default_c: Callable[[int, float, int], int],
+    shape: Callable[[int], tuple[int, int, int]],
+    width_name: str,
+) -> PackingFamily:
+    # The one construction behind both families; ``shape(c)`` gives the
+    # family's block width, default-T divisor and suffix start.
+    if n < 3:
+        raise ValueError("the packing construction needs n >= 3")
+    if c is None:
+        if epsilon is None:
+            raise ValueError("either an explicit c or epsilon for the default formula")
+        c = default_c(m, epsilon, n)
+    if c < 1:
+        raise ValueError("need c >= 1 (the construction is void at c = 0)")
+    width, t_divisor, suffix_start = shape(c)
+    if T is None:
+        T = m // t_divisor
+    if T < 1:
+        raise ValueError("need T >= 1")
+    if width * T > m:
+        raise ValueError(f"blocks exceed the item line: {width_name} * T must be <= m")
+    if suffix_start < 1:
+        raise ValueError("suffix block would underflow the item line")
+    suffixes = (tuple(1 if j >= suffix_start else 0 for j in range(1, m + 1)),) * (n - 2)
+    members = []  # agents 1 and 2 value block t in variant t; t = 0 (the base) matches none
+    for t in range(T + 1):
+        row = tuple(1 if (j - 1) // width == t - 1 else 0 for j in range(1, m + 1))
+        members.append(UtilityProfile(n=n, m=m, scale=1, values=(row, row) + suffixes))
+    return PackingFamily(
+        base=members[0], variants=tuple(members[1:]), n=n, m=m, c=c, T=T,
+        block_width=width, expected_distance=2 * width,
     )
 
 
@@ -96,35 +118,10 @@ def ef_packing_family(
     yields c = 0 below m of roughly 10^4); explicit small ``c >= 1``
     overrides keep the family meaningful at desk scale.
     """
-    if n < 3:
-        raise ValueError("the packing construction needs n >= 3")
-    if c is None:
-        if epsilon is None:
-            raise ValueError("either an explicit c or epsilon for the default formula")
-        c = default_ef_packing_c(m, epsilon, n)
-    if c < 1:
-        raise ValueError("need c >= 1 (the construction is void at c = 0)")
-    width = 2 * c + 1
-    if T is None:
-        T = m // (4 * c + 4)
-    if T < 1:
-        raise ValueError("need T >= 1")
-    if width * T > m:
-        raise ValueError("blocks exceed the item line: (2c+1) * T must be <= m")
-    suffix_start = m - (c + 1) * (n - 2)
-    if suffix_start < 1:
-        raise ValueError("suffix block would underflow the item line")
-    base, variants = _packing_profiles(n, m, width, T, suffix_start)
-    return PackingFamily(
-        base=base,
-        variants=variants,
-        n=n,
-        m=m,
-        c=c,
-        T=T,
-        block_width=width,
-        expected_distance=4 * c + 2,
-        criterion="ef",
+    # (width, default-T divisor 2 * width + 2, suffix start) for a given c
+    return _packing_family(
+        n, m, c, T, epsilon, default_ef_packing_c,
+        lambda c: (2 * c + 1, 4 * c + 4, m - (c + 1) * (n - 2)), "(2c+1)",
     )
 
 
@@ -140,35 +137,10 @@ def prop_packing_family(
     Every agent in a variant values exactly nc+1 items, so each needs at
     least one valued item for PROP-c to hold.
     """
-    if n < 3:
-        raise ValueError("the packing construction needs n >= 3")
-    if c is None:
-        if epsilon is None:
-            raise ValueError("either an explicit c or epsilon for the default formula")
-        c = default_prop_packing_c(m, epsilon, n)
-    if c < 1:
-        raise ValueError("need c >= 1 (the construction is void at c = 0)")
-    width = n * c + 1
-    if T is None:
-        T = m // (2 * n * c + 2)
-    if T < 1:
-        raise ValueError("need T >= 1")
-    if width * T > m:
-        raise ValueError("blocks exceed the item line: (nc+1) * T must be <= m")
-    suffix_start = m - c * n
-    if suffix_start < 1:
-        raise ValueError("suffix block would underflow the item line")
-    base, variants = _packing_profiles(n, m, width, T, suffix_start)
-    return PackingFamily(
-        base=base,
-        variants=variants,
-        n=n,
-        m=m,
-        c=c,
-        T=T,
-        block_width=width,
-        expected_distance=2 * n * c + 2,
-        criterion="prop",
+    # (width, default-T divisor 2 * width, suffix start) for a given c
+    return _packing_family(
+        n, m, c, T, epsilon, default_prop_packing_c,
+        lambda c: (n * c + 1, 2 * n * c + 2, m - c * n), "(nc+1)",
     )
 
 

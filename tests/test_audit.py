@@ -7,7 +7,6 @@ from dpfair.audit import (
     estimate_privacy_ratio,
     exact_em_ratio_check,
     fairness_failure_rate,
-    group_privacy_check,
     parallel_structure_ok,
     ratio_report_from_distributions,
     validate_knife_trace,
@@ -124,8 +123,9 @@ def test_exact_ratio_report_flags_violations():
 def test_group_privacy_identical_inputs():
     params = PrivacyParams(epsilon=1.0, beta=0.1)
     p = binary_profile_from_bits(2, 3, 0b010101)
-    report = group_privacy_check(
-        ef_mechanism(params), p, p, params.epsilon, samples=5000, stream=RandomStream(5)
+    # a group audit at edit distance k passes k * epsilon to the sampled audit
+    report = estimate_privacy_ratio(
+        ef_mechanism(params), p, p, 0 * params.epsilon, samples=5000, stream=RandomStream(5)
     )
     assert report.bound == pytest.approx(1.0)  # k = 0
     assert report.passed

@@ -8,6 +8,7 @@ import pytest
 
 from dpfair import cli
 from dpfair.ef_em import scoring_truncation_budget
+from dpfair.generators import ef_packing_family, prop_packing_family
 
 
 def run_cli(argv, capsys):
@@ -40,6 +41,24 @@ def strip_timing(text):
 # ---------------------------------------------------------------------------
 # gen + instance round trips
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, maker", [("ef-packing", ef_packing_family), ("prop-packing", prop_packing_family)]
+)
+def test_gen_packing_params_block(kind, maker, capsys):
+    # default T: the report's params are exactly the family's scalar fields
+    code, text, _ = run_cli(["gen", kind, "--n", "3", "--m", "24", "--c", "1"], capsys)
+    assert code == 0
+    family = maker(3, 24, c=1)
+    assert json.loads(text)["params"] == {
+        "n": family.n,
+        "m": family.m,
+        "c": family.c,
+        "T": family.T,
+        "block_width": family.block_width,
+        "expected_distance": family.expected_distance,
+    }
 
 
 def test_gen_bernoulli_round_trip(tmp_path, capsys):

@@ -106,6 +106,33 @@ def test_ef_packing_parameter_validation():
         ef_packing_family(n=3, m=20, T=2)  # default c needs epsilon
 
 
+def test_ef_packing_suffix_underflow():
+    # blocks fit (3 * 1 <= 5), but agents 3..10 need (c+1)(n-2) = 16 suffix items
+    with pytest.raises(ValueError, match="underflow"):
+        ef_packing_family(n=10, m=5, c=1, T=1)
+
+
+def test_prop_packing_parameter_validation():
+    with pytest.raises(ValueError, match="n >= 3"):
+        prop_packing_family(n=2, m=24, c=1, T=2)
+    with pytest.raises(ValueError, match="c >= 1"):
+        prop_packing_family(n=3, m=24, c=0, T=1)
+    with pytest.raises(ValueError, match="T >= 1"):
+        prop_packing_family(n=3, m=24, c=1, T=0)
+    with pytest.raises(ValueError, match="exceed"):
+        prop_packing_family(n=3, m=6, c=1, T=2)  # (nc+1) * T = 8 > 6
+    with pytest.raises(ValueError, match="epsilon"):
+        prop_packing_family(n=3, m=24, T=2)  # default c needs epsilon
+
+
+@pytest.mark.parametrize("maker", [ef_packing_family, prop_packing_family])
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_packing_expected_distance_is_twice_the_block_width(maker, c):
+    family = maker(n=3, m=40, c=c)
+    assert family.expected_distance == 2 * family.block_width
+    assert verify_packing_distances(family)
+
+
 def test_ef_packing_asymptotic_default_c_is_zero_at_desk_scale():
     # the asymptotic default only becomes nontrivial around m of 10^4
     assert default_ef_packing_c(m=1000, epsilon=1.0, n=3) == 0
