@@ -8,7 +8,7 @@ confidence intervals and flag only confident violations.
 
 import math
 
-from dpfair import PrivacyParams, RandomStream, UtilityProfile, dp_ef_allocate
+from dpfair import EfSampler, PrivacyParams, RandomStream, UtilityProfile
 from dpfair.audit import (
     anti_concentration_check,
     estimate_privacy_ratio,
@@ -29,7 +29,9 @@ print("exact ratio audit of the envy-free allocator (adjacent pair, g=2):")
 print(f"  outcomes: {len(exact.outcomes)}, bound e^eps = {exact.bound:.4f}")
 print(f"  max |log ratio| = {exact.max_log_ratio:.4f}  -> passed: {exact.passed}")
 
-mechanism = lambda profile, stream: dp_ef_allocate(profile, params, stream).allocation
+# A sampled audit prepares the allocator once per input and draws every run
+# of that input, in turn, from one stream.
+mechanism = lambda profile, stream, k: EfSampler.prepare(profile, params).sample(stream, k)
 sampled = estimate_privacy_ratio(mechanism, p1, p2, params.epsilon,
                                  samples=5000, stream=RandomStream(1))
 print()

@@ -25,6 +25,7 @@ from .core import (
 )
 from .ef_em import (
     EfRunReport,
+    EfSampler,
     count_connected_allocations,
     dp_ef_allocate,
     enumerate_connected_allocations,
@@ -38,6 +39,7 @@ from .prop_knife import (
     dp_moving_knife,
     exact_budget_total,
     f_value,
+    knife_samples,
     proof_chain_c,
 )
 
@@ -45,6 +47,7 @@ __all__ = [
     "Adjacency",
     "ConnectedAllocation",
     "EfRunReport",
+    "EfSampler",
     "EnumerationCapError",
     "KnifeRecord",
     "KnifeTrace",
@@ -65,6 +68,7 @@ __all__ = [
     "is_ef_c",
     "is_ef_d_wrt_truncated",
     "is_prop_c",
+    "knife_samples",
     "min_ef_c",
     "min_prop_c",
     "proof_chain_c",

@@ -11,8 +11,9 @@ never prove it, so every report records which mode produced the verdict.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -32,7 +33,19 @@ from .prop_knife import KnifeTrace
 EXACT_SLACK = 1e-9
 DEFAULT_Z = 3.0  # three-sigma margins throughout
 
-Mechanism = Callable[[UtilityProfile, RandomStream], object]
+# A mechanism maps (profile, stream, k) to k outcomes drawn in turn from
+# the one stream, so it can build its fixed state once per input.
+Mechanism = Callable[[UtilityProfile, RandomStream, int], Iterable]
+
+
+def _draw_counts(
+    mechanism: Mechanism, profile: UtilityProfile, stream: RandomStream, k: int
+) -> Counter:
+    """How often each outcome occurs among the mechanism's ``k`` draws on one input."""
+    counts = Counter(mechanism(profile, stream, k))
+    if sum(counts.values()) != k:
+        raise ValueError(f"the mechanism returned {sum(counts.values())} outcomes, not {k}")
+    return counts
 
 
 def wilson_interval(successes: int, trials: int, z: float = DEFAULT_Z) -> tuple[float, float]:
@@ -127,23 +140,16 @@ def _sampled_ratio_report(
 ) -> RatioReport:
     if samples < 1:
         raise ValueError("need at least one sample per input")
-    counts1: dict = {}
-    counts2: dict = {}
-    stream1, stream2 = stream.child(1), stream.child(2)
-    for run in range(samples):
-        o1 = mechanism(p1, stream1.child(run))
-        o2 = mechanism(p2, stream2.child(run))
-        counts1[o1] = counts1.get(o1, 0) + 1
-        counts2[o2] = counts2.get(o2, 0) + 1
+    counts1 = _draw_counts(mechanism, p1, stream.child(1), samples)
+    counts2 = _draw_counts(mechanism, p2, stream.child(2), samples)
     outcomes = sorted(set(counts1) | set(counts2), key=repr)
-    p1_hat = tuple(counts1.get(o, 0) / samples for o in outcomes)
-    p2_hat = tuple(counts2.get(o, 0) / samples for o in outcomes)
+    p1_hat = tuple(counts1[o] / samples for o in outcomes)
+    p2_hat = tuple(counts2[o] / samples for o in outcomes)
     flagged = []
     max_log = 0.0
     max_ci = (0.0, 0.0)
     for o in outcomes:
-        c1 = counts1.get(o, 0)
-        c2 = counts2.get(o, 0)
+        c1, c2 = counts1[o], counts2[o]
         lo1, hi1 = wilson_interval(c1, samples)
         lo2, hi2 = wilson_interval(c2, samples)
         # Confident violation in either direction: even the most favorable
@@ -217,18 +223,21 @@ def fairness_failure_rate(
     trials: int,
     stream: RandomStream,
 ) -> EmpiricalProbability:
-    """Fraction of mechanism runs whose output fails EF-c or PROP-c."""
+    """Fraction of mechanism runs whose output fails EF-c or PROP-c.
+
+    The ``trials`` runs are drawn in turn from ``stream``; each distinct
+    output is checked once and counted as often as it was drawn.
+    """
     criterion = criterion.upper()
     if criterion not in ("EF", "PROP"):
         raise ValueError("criterion must be 'EF' or 'PROP'")
     check = is_ef_c if criterion == "EF" else is_prop_c
     if trials < 1:
         raise ValueError("need at least one trial")
-    failures = 0
-    for run in range(trials):
-        allocation = mechanism(profile, stream.child(run))
-        if not check(profile, allocation, c):
-            failures += 1
+    counts = _draw_counts(mechanism, profile, stream, trials)
+    failures = sum(
+        count for allocation, count in counts.items() if not check(profile, allocation, c)
+    )
     return _empirical(failures, trials)
 
 

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import Optional
@@ -38,7 +39,12 @@ from .core import (
     min_ef_c,
     min_prop_c,
 )
-from .ef_em import DEFAULT_ENUMERATION_CAP, dp_ef_allocate, scoring_truncation_budget
+from .ef_em import (
+    DEFAULT_ENUMERATION_CAP,
+    EfSampler,
+    dp_ef_allocate,
+    scoring_truncation_budget,
+)
 from .mechanisms import RandomStream
 from .prop_knife import dp_moving_knife
 
@@ -274,12 +280,16 @@ def _pick(family: generators.PackingFamily, pick: str) -> UtilityProfile:
     raise ValueError(f"--pick must be 'base' or an integer in 1..{family.T}, got {pick!r}")
 
 
-def _mechanism_for(algorithm: str, params: PrivacyParams, enum_cap: int):
+def _mechanism_for(algorithm: str, params: PrivacyParams, enum_cap: int) -> audit_mod.Mechanism:
+    """The allocator as a sampler: ``(profile, stream, k)`` to k allocations from one stream."""
     if algorithm == "ef":
-        return lambda profile, stream: dp_ef_allocate(
-            profile, params, stream, enumeration_cap=enum_cap
-        ).allocation
-    return lambda profile, stream: dp_moving_knife(profile, params, stream)[0]
+        return lambda profile, stream, k: EfSampler.prepare(profile, params, enum_cap).sample(
+            stream, k
+        )
+    # Lazy, so that a run's trace is dropped as soon as it is counted.
+    return lambda profile, stream, k: (
+        allocation for allocation, _ in prop_knife.knife_samples(profile, params, stream, k)
+    )
 
 
 def _ratio_report_dict(ratio: audit_mod.RatioReport) -> dict:
@@ -393,14 +403,10 @@ def _cmd_sweep(args) -> int:
         else:
             guarantee_c = prop_knife.proof_chain_c(m, n, params)
         start = time.perf_counter()
-        failures = 0
-        worst_c = 0
-        for trial in range(args.trials):
-            allocation = mechanism(profile, grid_stream.child(trial + 1))
-            c = min_c(profile, allocation)
-            worst_c = max(worst_c, c)
-            if c > guarantee_c:
-                failures += 1
+        counts = Counter(mechanism(profile, grid_stream.child(1), args.trials))
+        achieved = {allocation: min_c(profile, allocation) for allocation in counts}
+        worst_c = max(achieved.values())
+        failures = sum(counts[a] for a, c in achieved.items() if c > guarantee_c)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
             {
@@ -465,100 +471,123 @@ def _grid(cast):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
     """One leaf parser per command, declaring only the flags its handler reads.
 
     A flag the leaf does not read is a usage error.  ``oracle``, ``gen`` and
     ``audit`` pick their mode with a second word, parsed into ``which``,
-    ``kind`` and ``check``.
+    ``kind`` and ``check``.  When ``argv`` starts with a leaf's words, only
+    that leaf is built, beside a bare entry per other command that keeps the
+    top-level usage line; ``argv`` then parses exactly as with every leaf.
     """
 
-    def flag(name: str, **kwargs) -> argparse.ArgumentParser:
-        parent = argparse.ArgumentParser(add_help=False)
-        parent.add_argument(name, **kwargs)
-        return parent
+    def arg(name: str, **kwargs) -> tuple[str, dict]:
+        return name, kwargs
 
-    base = [flag("--seed", type=int, default=_default_seed()), flag("--out", default=None)]
-    instance = flag("--instance", required=True)
-    epsilon = flag("--epsilon", type=float, default=1.0)
-    beta = flag("--beta", type=float, default=PrivacyParams.beta)
-    svt = flag("--svt-constant", type=float, default=PrivacyParams.svt_constant)
-    cap = flag("--enum-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    trials = flag("--trials", type=_positive_int, default=1000)
+    base = [arg("--seed", type=int, default=_default_seed()), arg("--out", default=None)]
+    instance = arg("--instance", required=True)
+    epsilon = arg("--epsilon", type=float, default=1.0)
+    beta = arg("--beta", type=float, default=PrivacyParams.beta)
+    svt = arg("--svt-constant", type=float, default=PrivacyParams.svt_constant)
+    cap = arg("--enum-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    trials = arg("--trials", type=_positive_int, default=1000)
     # what _mechanism_for reads besides epsilon and beta
-    mechanism = [flag("--algorithm", choices=("ef", "prop"), default="ef"), svt, cap]
-    size = [flag("--n", type=int, required=True), flag("--m", type=int, required=True)]
+    mechanism = [arg("--algorithm", choices=("ef", "prop"), default="ef"), svt, cap]
+    size = [arg("--n", type=int, required=True), arg("--m", type=int, required=True)]
+    packing = [
+        *size, epsilon, arg("--c", type=int, default=None), arg("--T", type=int, default=None),
+        arg("--pick", default=None, help="emit one family member: 'base' or 1..T"),
+    ]
+    ratio = [
+        *mechanism, epsilon, beta, trials,
+        arg("--instance1", required=True, help="first instance"),
+        arg("--instance2", required=True, help="second instance"),
+        arg("--exact", action="store_true",
+            help="use exact EM distributions (--algorithm ef only)"),
+        arg("--g", type=int, default=None,
+            help="truncation budget of --exact audits (default: allocator formula)"),
+    ]
+    grids = [
+        arg(name, type=_grid(cast), required=True, help=f"comma-separated {what}")
+        for name, cast, what in [("--ns", int, "agent counts"), ("--ms", int, "item counts"),
+                                 ("--epsilons", float, "epsilons"), ("--betas", float, "betas")]
+    ]
+    # command -> (help, handler, dest of its mode word or None for a leaf)
+    commands = {
+        "allocate-ef": ("run the private EF allocator", _cmd_allocate_ef, None),
+        "allocate-prop": ("run the private PROP allocator", _cmd_allocate_prop, None),
+        "oracle": ("exact brute-force computations", _cmd_oracle, "which"),
+        "gen": ("generate instances", _cmd_gen, "kind"),
+        "audit": ("privacy and fairness audits", _cmd_audit, "check"),
+        "sweep": ("grid experiments, CSV output", _cmd_sweep, None),
+    }
+    # leaf path -> its flags after --seed and --out, in help order
+    leaves = {
+        ("allocate-ef",): [instance, epsilon, beta, cap],
+        ("allocate-prop",): [instance, epsilon, beta, svt],
+        **{("oracle", name): [instance, cap] for name in ("min-ef", "min-prop", "ef2-exists")},
+        ("oracle", "em-dist"): [instance, epsilon, beta, cap],
+        **{("gen", name): size for name in ("bernoulli", "all-zero")},
+        **{("gen", name): packing for name in ("ef-packing", "prop-packing")},
+        **{("audit", name): ratio for name in ("privacy-ratio", "group")},
+        ("audit", "sensitivity"): [
+            arg("--which", choices=("score", "f"), default="score"),
+            arg("--n", type=int, default=2),
+            arg("--m", type=int, default=3),
+            arg("--g", type=int, default=2, help="truncation budget"),
+        ],
+        ("audit", "fairness-rate"): [
+            instance, *mechanism, epsilon, beta, trials,
+            arg("--criterion", choices=("EF", "PROP"), default="EF"),
+            arg("--c", type=int, default=0),
+        ],
+        ("audit", "anti-concentration"): [
+            trials,
+            arg("--lemma", choices=("2.10", "2.11"), default="2.10"),
+            arg("--k", type=int, default=100),
+            arg("--gamma", type=float, default=2.0),
+        ],
+        ("sweep",): [*mechanism, trials, *grids, arg("--format", choices=("json", "csv"),
+                                                      default="json")],
+    }
+    if argv is not None:
+        words = tuple(argv[:2])
+        leaves = {path: flags for path, flags in leaves.items() if words[: len(path)] == path}
+        if not leaves:  # no leaf named: build them all, so help and errors list every one
+            return build_parser()
+    named = {path[0] for path in leaves}
 
-    def leaf(subparsers, name, *parents, handler=None, text=None):
+    def leaf(subparsers, name, flags, text=None, handler=None):
         # No abbreviations: they would let an unread flag alias a read one
         # (sweep's --epsilons would answer to --epsilon).
-        p = subparsers.add_parser(name, parents=[*base, *parents], help=text, allow_abbrev=False)
+        p = subparsers.add_parser(name, help=text, allow_abbrev=False)
         if handler is not None:
             p.set_defaults(handler=handler)
-        return p
-
-    def modes(name, handler, dest, text):
-        p = commands.add_parser(name, help=text)
-        p.set_defaults(handler=handler)
-        return p.add_subparsers(dest=dest, required=True)
+        for flag, kwargs in [*base, *flags]:
+            p.add_argument(flag, **kwargs)
 
     parser = argparse.ArgumentParser(
         prog="dpfair",
         description="Differentially private fair division: allocators, oracles, audits.",
     )
-    commands = parser.add_subparsers(dest="subcommand", required=True)
-    leaf(commands, "allocate-ef", instance, epsilon, beta, cap,
-         handler=_cmd_allocate_ef, text="run the private EF allocator")
-    leaf(commands, "allocate-prop", instance, epsilon, beta, svt,
-         handler=_cmd_allocate_prop, text="run the private PROP allocator")
-
-    which = modes("oracle", _cmd_oracle, "which", "exact brute-force computations")
-    for name in ("min-ef", "min-prop", "ef2-exists"):
-        leaf(which, name, instance, cap)
-    leaf(which, "em-dist", instance, epsilon, beta, cap)
-
-    kind = modes("gen", _cmd_gen, "kind", "generate instances")
-    for name in ("bernoulli", "all-zero"):
-        leaf(kind, name, *size)
-    for name in ("ef-packing", "prop-packing"):
-        p = leaf(kind, name, *size, epsilon)
-        p.add_argument("--c", type=int, default=None)
-        p.add_argument("--T", type=int, default=None)
-        p.add_argument("--pick", default=None, help="emit one family member: 'base' or 1..T")
-
-    check = modes("audit", _cmd_audit, "check", "privacy and fairness audits")
-    for name in ("privacy-ratio", "group"):
-        p = leaf(check, name, *mechanism, epsilon, beta, trials)
-        p.add_argument("--instance1", required=True, help="first instance")
-        p.add_argument("--instance2", required=True, help="second instance")
-        p.add_argument("--exact", action="store_true",
-                       help="use exact EM distributions (--algorithm ef only)")
-        p.add_argument("--g", type=int, default=None,
-                       help="truncation budget of --exact audits (default: allocator formula)")
-    p = leaf(check, "sensitivity")
-    p.add_argument("--which", choices=("score", "f"), default="score")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--m", type=int, default=3)
-    p.add_argument("--g", type=int, default=2, help="truncation budget")
-    p = leaf(check, "fairness-rate", instance, *mechanism, epsilon, beta, trials)
-    p.add_argument("--criterion", choices=("EF", "PROP"), default="EF")
-    p.add_argument("--c", type=int, default=0)
-    p = leaf(check, "anti-concentration", trials)
-    p.add_argument("--lemma", choices=("2.10", "2.11"), default="2.10")
-    p.add_argument("--k", type=int, default=100)
-    p.add_argument("--gamma", type=float, default=2.0)
-
-    p = leaf(commands, "sweep", *mechanism, trials,
-             handler=_cmd_sweep, text="grid experiments, CSV output")
-    for name, cast, what in [("--ns", int, "agent counts"), ("--ms", int, "item counts"),
-                             ("--epsilons", float, "epsilons"), ("--betas", float, "betas")]:
-        p.add_argument(name, type=_grid(cast), required=True, help=f"comma-separated {what}")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    top = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (text, handler, dest) in commands.items():
+        if name not in named:
+            top.add_parser(name, help=text)
+        elif dest is None:
+            leaf(top, name, leaves[(name,)], text, handler)
+        else:
+            p = top.add_parser(name, help=text)
+            p.set_defaults(handler=handler)
+            mode = p.add_subparsers(dest=dest, required=True)
+            for path, flags in leaves.items():
+                if path[0] == name:
+                    leaf(mode, path[1], flags)
     return parser
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -28,7 +28,12 @@ from .core import (
     min_ef_c,
     threshold_counts,
 )
-from .mechanisms import RandomStream, exponential_mechanism
+from .mechanisms import (
+    RandomStream,
+    em_cumulative,
+    em_draw,
+    exponential_mechanism,  # not called here; bench/tracing.py expects it bound in this module
+)
 
 DEFAULT_ENUMERATION_CAP = 10**7
 # Int64 cells of temporaries per block of the batched scorer (1 MB), which
@@ -170,8 +175,8 @@ def scored_candidates(
     """Every connected allocation (see :func:`capped_candidates`) and its :func:`score`.
 
     The scores are a read-only integer array in candidate order, cached per
-    ``(profile, g)``: the audit loops run the allocator on one or two
-    profiles thousands of times.
+    ``(profile, g)`` for callers that repeat :func:`dp_ef_allocate` on one
+    profile; :class:`EfSampler` scores once and draws many times without it.
     """
     candidates = capped_candidates(profile, enumeration_cap)
     if g < 1:
@@ -251,6 +256,69 @@ def scoring_truncation_budget(m: int, n: int, epsilon: float, beta: float) -> in
     return 4 * math.ceil(1 + (n * math.log(m * n) - math.log(beta)) / epsilon)
 
 
+@dataclass(frozen=True, eq=False)
+class EfSampler:
+    """The private envy-free allocator prepared for one ``(profile, params)``.
+
+    Holds the state that no draw changes: the truncation budget ``g``, the
+    candidates, their scores and the exponential mechanism's cumulative
+    weights.  A draw consumes exactly one uniform of the stream, so
+    :meth:`draw_many` and :meth:`sample` equal as many :func:`dp_ef_allocate`
+    calls on one stream.
+    """
+
+    profile: UtilityProfile
+    params: PrivacyParams
+    g: int
+    candidates: tuple[ConnectedAllocation, ...]
+    scores: np.ndarray
+    cumulative: np.ndarray
+
+    @classmethod
+    def prepare(
+        cls,
+        profile: UtilityProfile,
+        params: PrivacyParams,
+        enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
+    ) -> "EfSampler":
+        """Enumerate, score and weigh every candidate (see :func:`scored_candidates`)."""
+        if profile.m < 1:
+            raise ValueError("allocator needs at least one item")
+        g = scoring_truncation_budget(profile.m, profile.n, params.epsilon, params.beta)
+        candidates, scores = scored_candidates(profile, g, enumeration_cap)
+        cumulative = em_cumulative(scores, params.epsilon)
+        return cls(profile, params, g, candidates, scores, cumulative)
+
+    def draw(self, stream: RandomStream) -> int:
+        """Index of one candidate drawn by the exponential mechanism."""
+        return em_draw(stream.generator, self.cumulative)
+
+    def draw_many(self, stream: RandomStream, k: int) -> np.ndarray:
+        """Indices of ``k`` candidates drawn in turn from one stream."""
+        return em_draw(stream.generator, self.cumulative, k)
+
+    def sample(self, stream: RandomStream, k: int) -> list[ConnectedAllocation]:
+        """``k`` allocations drawn in turn from one stream."""
+        candidates = self.candidates
+        return [candidates[index] for index in self.draw_many(stream, k).tolist()]
+
+    def report(self, index: int) -> EfRunReport:
+        """The run report of candidate ``index``, with its certified guarantee."""
+        allocation, chosen = self.candidates[index], int(self.scores[index])
+        fallback = None
+        if chosen == -self.g and not is_ef_c(self.profile, allocation, 2 * self.g):
+            fallback = min_ef_c(self.profile, allocation)
+        return EfRunReport(
+            allocation=allocation,
+            g=self.g,
+            score=chosen,
+            candidate_count=len(self.candidates),
+            epsilon=self.params.epsilon,
+            beta=self.params.beta,
+            fallback_guarantee=fallback,
+        )
+
+
 def dp_ef_allocate(
     profile: UtilityProfile,
     params: PrivacyParams,
@@ -264,23 +332,8 @@ def dp_ef_allocate(
     envy-free up to ``3g/2`` items.  The candidate set is the set of
     distinct connected allocations, which is exponential in ``n``; the
     enumeration cap turns oversized instances into a hard error (see
-    :func:`capped_candidates`).
+    :func:`capped_candidates`).  Repeated runs on one input are cheaper
+    through :class:`EfSampler`.
     """
-    if profile.m < 1:
-        raise ValueError("allocator needs at least one item")
-    g = scoring_truncation_budget(profile.m, profile.n, params.epsilon, params.beta)
-    candidates, scores = scored_candidates(profile, g, enumeration_cap)
-    index = exponential_mechanism(stream, candidates, scores, params.epsilon)
-    allocation, chosen = candidates[index], int(scores[index])
-    fallback = None
-    if chosen == -g and not is_ef_c(profile, allocation, 2 * g):
-        fallback = min_ef_c(profile, allocation)
-    return EfRunReport(
-        allocation=allocation,
-        g=g,
-        score=chosen,
-        candidate_count=len(candidates),
-        epsilon=params.epsilon,
-        beta=params.beta,
-        fallback_guarantee=fallback,
-    )
+    sampler = EfSampler.prepare(profile, params, enumeration_cap)
+    return sampler.report(sampler.draw(stream))

@@ -92,6 +92,26 @@ def em_weights(scores: Sequence[float], epsilon: float) -> np.ndarray:
     return np.exp(epsilon * (shifted - shifted.max()) / 2.0)
 
 
+def em_cumulative(scores: Sequence[float], epsilon: float) -> np.ndarray:
+    """Cumulative :func:`em_weights`, the fixed state of every exponential-mechanism draw."""
+    return np.cumsum(em_weights(scores, epsilon))
+
+
+def em_draw(
+    generator: np.random.Generator, cumulative: np.ndarray, size: Optional[int] = None
+) -> int | np.ndarray:
+    """Index drawn in proportion to the weights behind ``cumulative``: one uniform per draw.
+
+    ``size=None`` draws one ``int``; an integer ``size`` draws an array of
+    that many indices, equal to as many one-at-a-time draws from the same
+    generator, because ``generator.random(size)`` is that many successive
+    uniforms.
+    """
+    u = generator.random(size) * cumulative[-1]
+    index = np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+    return index if size is not None else int(index)
+
+
 def exponential_mechanism(
     stream: RandomStream,
     candidates: Sequence,
@@ -100,8 +120,8 @@ def exponential_mechanism(
 ) -> int:
     """Select an index with probability proportional to exp(epsilon * score / 2).
 
-    The caller guarantees each score has sensitivity at most 1.  Weights
-    come from :func:`em_weights`.
+    The caller guarantees each score has sensitivity at most 1.  The draw is
+    :func:`em_draw` on :func:`em_cumulative`.
     """
     if len(candidates) == 0:
         raise ValueError("candidate list must be nonempty")
@@ -109,10 +129,7 @@ def exponential_mechanism(
         raise ValueError("need exactly one score per candidate")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    cumulative = np.cumsum(em_weights(scores, epsilon))
-    u = stream.generator.random() * cumulative[-1]
-    index = int(np.searchsorted(cumulative, u, side="right"))
-    return min(index, len(candidates) - 1)
+    return em_draw(stream.generator, em_cumulative(scores, epsilon))
 
 
 def above_threshold(

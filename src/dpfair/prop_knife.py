@@ -195,12 +195,35 @@ def dp_moving_knife(
     allocation.  Ranges that run out of items recurse with empty ranges so
     the procedure stays total when ``m < n``.
     """
+    return next(knife_samples(profile, params, stream, 1))
+
+
+def knife_samples(
+    profile: UtilityProfile,
+    params: PrivacyParams,
+    stream: RandomStream,
+    k: int,
+) -> Iterator[tuple[ConnectedAllocation, KnifeTrace]]:
+    """``k`` runs of :func:`dp_moving_knife` in turn on one stream, lazily.
+
+    The budget schedule is computed once for all of them, and each run is
+    made only when the iterator reaches it, so a caller that keeps only the
+    allocations never holds ``k`` traces.
+    """
     if profile.kind != "additive":
         raise ValueError(_ADDITIVE_ONLY)
+    schedule = budget_schedule(profile.m, profile.n, params)
+    return (_knife_run(profile, schedule, stream) for _ in range(k))
+
+
+def _knife_run(
+    profile: UtilityProfile,
+    schedule: dict[int, tuple[float, int]],
+    stream: RandomStream,
+) -> tuple[ConnectedAllocation, KnifeTrace]:
     spans: list = [None] * profile.n
     records: list[KnifeRecord] = []
     leaves: list[tuple[int, int, int]] = []
-    schedule = budget_schedule(profile.m, profile.n, params)
 
     def recurse(agents: tuple[int, ...], lo: int, hi: int, depth: int) -> None:
         if len(agents) == 1:

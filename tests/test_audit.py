@@ -12,21 +12,22 @@ from dpfair.audit import (
     validate_knife_trace,
     wilson_interval,
 )
-from dpfair.core import ConnectedAllocation, PrivacyParams
-from dpfair.ef_em import dp_ef_allocate, scoring_truncation_budget
+from dpfair.core import ConnectedAllocation, PrivacyParams, is_ef_c, is_prop_c
+from dpfair.ef_em import EfSampler, scoring_truncation_budget
 from dpfair.generators import ef_packing_family
 from dpfair.mechanisms import RandomStream
-from dpfair.prop_knife import KnifeRecord, KnifeTrace, dp_moving_knife
+from dpfair.prop_knife import KnifeRecord, KnifeTrace, dp_moving_knife, knife_samples
 
+from conftest import random_additive_profile
 from test_core import binary_profile_from_bits
 
 
 def ef_mechanism(params):
-    return lambda profile, stream: dp_ef_allocate(profile, params, stream).allocation
+    return lambda profile, stream, k: EfSampler.prepare(profile, params).sample(stream, k)
 
 
 def prop_mechanism(params):
-    return lambda profile, stream: dp_moving_knife(profile, params, stream)[0]
+    return lambda profile, stream, k: [a for a, _ in knife_samples(profile, params, stream, k)]
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +54,7 @@ def test_constant_mechanism_has_unit_ratios():
     p1 = binary_profile_from_bits(2, 3, 0b000111)
     p2 = binary_profile_from_bits(2, 3, 0b000110)
     report = estimate_privacy_ratio(
-        lambda profile, stream: fixed, p1, p2, epsilon=1.0, samples=500,
+        lambda profile, stream, k: [fixed] * k, p1, p2, epsilon=1.0, samples=500,
         stream=RandomStream(1),
     )
     assert report.mode == "sampled"
@@ -65,10 +66,10 @@ def test_constant_mechanism_has_unit_ratios():
 
 def test_detects_a_blatantly_nonprivate_mechanism():
     # leaks the input deterministically: adjacent inputs give disjoint outputs
-    def leaky(profile, stream):
+    def leaky(profile, stream, k):
         if profile.values[0][0]:
-            return ConnectedAllocation(spans=((1, 3), None))
-        return ConnectedAllocation(spans=(None, (1, 3)))
+            return [ConnectedAllocation(spans=((1, 3), None))] * k
+        return [ConnectedAllocation(spans=(None, (1, 3)))] * k
 
     p1 = binary_profile_from_bits(2, 3, 0b000000)
     p2 = binary_profile_from_bits(2, 3, 0b000001)
@@ -174,6 +175,29 @@ def test_ef_allocator_failure_rate_at_guarantee():
     )
     sigma = math.sqrt(params.beta * (1 - params.beta) / 1000)
     assert report.estimate <= params.beta + 3 * sigma
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 2.0, 8.0, 50.0])
+def test_failure_rate_equals_a_per_trial_count(rng, epsilon):
+    params = PrivacyParams(epsilon=epsilon, beta=0.1, svt_constant=0.1)
+    p = random_additive_profile(rng, n=3, m=int(rng.integers(2, 9)), max_value=3)
+    for criterion, check, mechanism in (("EF", is_ef_c, ef_mechanism(params)),
+                                        ("PROP", is_prop_c, prop_mechanism(params))):
+        for c in (0, 1, 2):
+            report = fairness_failure_rate(mechanism, p, criterion, c, 200, RandomStream(c))
+            draws = mechanism(p, RandomStream(c), 200)
+            assert report.hits == sum(not check(p, a, c) for a in draws)
+            assert report.trials == 200
+
+
+def test_audits_reject_a_mechanism_that_miscounts_its_draws():
+    fixed = ConnectedAllocation(spans=((1, 3), None))
+    p = binary_profile_from_bits(2, 3, 0)
+    short = lambda profile, stream, k: [fixed] * (k - 1)  # noqa: E731
+    with pytest.raises(ValueError, match="not 10"):
+        fairness_failure_rate(short, p, "EF", 0, 10, RandomStream(0))
+    with pytest.raises(ValueError, match="not 10"):
+        estimate_privacy_ratio(short, p, p, 1.0, 10, RandomStream(0))
 
 
 def test_failure_rate_validation():

@@ -7,8 +7,10 @@ import sys
 import pytest
 
 from dpfair import cli
-from dpfair.ef_em import scoring_truncation_budget
-from dpfair.generators import ef_packing_family, prop_packing_family
+from dpfair.core import PrivacyParams, min_ef_c
+from dpfair.ef_em import dp_ef_allocate, scoring_truncation_budget
+from dpfair.generators import bernoulli_profile, ef_packing_family, prop_packing_family
+from dpfair.mechanisms import RandomStream
 
 
 def run_cli(argv, capsys):
@@ -323,6 +325,27 @@ def test_sweep_records_the_grid_it_ran(capsys):
     assert {row["epsilon"] for row in doc["rows"]} == {2.0}
 
 
+def test_sweep_draws_a_points_trials_from_one_stream(capsys):
+    # Point i's profile comes from stream (seed, i) child 0 and its trials,
+    # drawn in turn, from child 1; c is computed once per distinct outcome.
+    code, text, _ = run_cli(
+        ["sweep", "--ns", "2,3", "--ms", "4", "--epsilons", "8", "--betas", "0.1",
+         "--algorithm", "ef", "--trials", "60", "--seed", "7"],
+        capsys,
+    )
+    assert code == 0
+    params = PrivacyParams(epsilon=8.0, beta=0.1)
+    for point, row in enumerate(json.loads(text)["rows"]):
+        grid_stream = RandomStream(7, (point,))
+        profile = bernoulli_profile(row["n"], 4, grid_stream.child(0))
+        stream = grid_stream.child(1)
+        draws = [dp_ef_allocate(profile, params, stream).allocation for _ in range(60)]
+        achieved = [min_ef_c(profile, a) for a in draws]
+        guarantee = 3 * scoring_truncation_budget(4, row["n"], 8.0, 0.1) // 2
+        assert row["c_achieved"] == max(achieved)
+        assert row["failure_rate"] == sum(c > guarantee for c in achieved) / 60
+
+
 @pytest.mark.parametrize("out_format", ["json", "csv"])
 def test_sweep_rejects_an_empty_grid_naming_the_flag(out_format, capsys):
     code, _, err = run_cli(
@@ -403,6 +426,27 @@ def test_every_leaf_command_is_covered_by_the_unread_flag_table():
     assert len(paths) == 16
     for path in paths:
         assert any(tuple(argv[: len(path)]) == path for argv, _ in UNREAD_FLAGS), path
+
+
+def _parser_at(parser, path):
+    for name in path:
+        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = subs.choices[name]
+    return parser
+
+
+def test_a_named_leaf_is_built_alone_and_parses_as_in_the_full_parser():
+    full = cli.build_parser()
+    for argv, _ in UNREAD_FLAGS:
+        path = next(p for p in _leaf_paths(full) if tuple(argv[: len(p)]) == p)
+        named = cli.build_parser(argv)
+        # the named leaf plus one bare entry for each of the five other commands
+        assert path in _leaf_paths(named) and len(_leaf_paths(named)) == 6
+        assert named.format_help() == full.format_help()
+        assert _parser_at(named, path).format_help() == _parser_at(full, path).format_help()
+        assert named.parse_args(argv) == full.parse_args(argv)
+    for argv in (["--help"], ["audit", "--help"], ["bogus"], []):
+        assert len(_leaf_paths(cli.build_parser(argv))) == 16
 
 
 def test_battery_command_shapes_exit_zero(tmp_path):

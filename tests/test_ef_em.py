@@ -19,6 +19,7 @@ from dpfair.core import (
     min_ef_c,
 )
 from dpfair.ef_em import (
+    EfSampler,
     connected_allocation_tuple,
     count_connected_allocations,
     dp_ef_allocate,
@@ -295,9 +296,8 @@ def test_allocator_matches_exact_distribution():
     exact = exact_em_distribution(profile, params)
     stream = RandomStream(123)
     trials = 100_000
-    counts = Counter()
-    for _ in range(trials):
-        counts[dp_ef_allocate(profile, params, stream).allocation] += 1
+    # The same draws as 10^5 dp_ef_allocate calls on the stream, in one batch.
+    counts = Counter(EfSampler.prepare(profile, params).sample(stream, trials))
     for allocation, probability in exact.items():
         sigma = math.sqrt(probability * (1 - probability) / trials)
         assert abs(counts[allocation] / trials - probability) <= 3 * sigma + 1e-12
@@ -317,7 +317,7 @@ def test_allocator_report_fields_and_guarantee():
 
 
 @pytest.mark.parametrize("last_value, qualifies", [(1, False), (0, True)])
-def test_guarantee_when_the_chosen_score_is_minus_g(monkeypatch, last_value, qualifies):
+def test_guarantee_when_the_chosen_score_is_minus_g(last_value, qualifies):
     # A huge epsilon gives the least budget g = 8.  Agent 1 holds one item it
     # values at 0; agent 2 holds 2g + 1 items, 2g of which agent 1 values at
     # 1 and the last at ``last_value``.  Either way the score is -g: with
@@ -328,10 +328,8 @@ def test_guarantee_when_the_chosen_score_is_minus_g(monkeypatch, last_value, qua
     assert g == 8
     profile = UtilityProfile.additive([[0] + [1] * (2 * g) + [last_value], [1] * (2 * g + 2)])
     forced = ConnectedAllocation(spans=((1, 1), (2, 2 * g + 2)))
-    monkeypatch.setattr(
-        ef_em, "exponential_mechanism", lambda stream, candidates, *rest: candidates.index(forced)
-    )
-    report = dp_ef_allocate(profile, params, RandomStream(0))
+    sampler = EfSampler.prepare(profile, params)
+    report = sampler.report(sampler.candidates.index(forced))
     assert report.allocation == forced
     assert report.score == score(profile, forced, g) == -g
     assert is_ef_d_wrt_truncated(profile, forced, 2 * g, 0) == qualifies
@@ -349,6 +347,26 @@ def test_allocator_requires_items():
     empty = UtilityProfile.additive([[], []])
     with pytest.raises(ValueError):
         dp_ef_allocate(empty, PrivacyParams(epsilon=1.0), RandomStream(0))
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 2.0, 8.0, 50.0])
+def test_sampler_equals_sequential_allocator_calls(rng, epsilon):
+    # One uniform per draw: k draws from one stream are k dp_ef_allocate calls on it.
+    params = PrivacyParams(epsilon=epsilon, beta=0.1)
+    for case in range(8):
+        n, m = int(rng.integers(2, 4)), int(rng.integers(1, 8))
+        if case == 7:
+            profile = random_general_profile(rng, n, min(m, 4))
+        else:
+            profile = random_additive_profile(rng, n, m, max_value=int(rng.integers(1, 7)))
+        sampler = EfSampler.prepare(profile, params)
+        stream = RandomStream(case)
+        sequential = [dp_ef_allocate(profile, params, stream) for _ in range(150)]
+        indices = sampler.draw_many(RandomStream(case), 150)
+        assert [sampler.report(i) for i in indices.tolist()] == sequential
+        assert sampler.sample(RandomStream(case), 150) == [r.allocation for r in sequential]
+        # the batch leaves the stream where the single draws left it
+        assert sampler.draw(stream) == sampler.draw_many(RandomStream(case), 151)[-1]
 
 
 def test_allocator_deterministic_replay():

@@ -9,6 +9,8 @@ from dpfair.mechanisms import (
     RandomStream,
     SvtOutcome,
     above_threshold,
+    em_cumulative,
+    em_draw,
     exponential_mechanism,
     sample_laplace,
 )
@@ -113,12 +115,27 @@ def test_em_two_candidate_ratio():
     # scores (0, -1), epsilon 2: P(first)/P(second) = e
     stream = RandomStream(13)
     trials = 1_000_000
-    first = 0
-    for _ in range(trials):
-        if exponential_mechanism(stream, ["x", "y"], [0.0, -1.0], 2.0) == 0:
-            first += 1
+    # The same draws as 10^6 exponential_mechanism calls on the stream, in one batch.
+    picks = em_draw(stream.generator, em_cumulative([0.0, -1.0], 2.0), trials)
+    first = int(np.count_nonzero(picks == 0))
     ratio = first / (trials - first)
     assert abs(ratio - math.e) / math.e < 0.05
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 2.0, 8.0, 50.0])
+def test_em_batched_draw_equals_sequential_calls(epsilon):
+    rng = np.random.default_rng(int(epsilon * 10))
+    for seed in range(20):
+        scores = rng.integers(-12, 0, size=int(rng.integers(1, 30))).tolist()
+        candidates = list(range(len(scores)))
+        stream = RandomStream(seed)
+        sequential = [exponential_mechanism(stream, candidates, scores, epsilon) for _ in range(200)]
+        batched = em_draw(RandomStream(seed).generator, em_cumulative(scores, epsilon), 200)
+        assert batched.tolist() == sequential
+        # and the stream continues where 200 single draws leave it
+        assert em_draw(stream.generator, em_cumulative(scores, epsilon)) == em_draw(
+            RandomStream(seed).generator, em_cumulative(scores, epsilon), 201
+        )[-1]
 
 
 def test_em_exact_probability_ratio_bound():

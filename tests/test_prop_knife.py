@@ -15,6 +15,7 @@ from dpfair.prop_knife import (
     dp_moving_knife,
     exact_budget_total,
     f_value,
+    knife_samples,
     level_epsilon_exact,
     proof_chain_c,
 )
@@ -415,6 +416,17 @@ def test_allocator_reads_each_row_only_inside_its_own_branch(monkeypatch, rng):
         assert row == agent - 1 and lo <= position + 1 <= hi
         reads += 1
     assert reads > 0
+
+
+@pytest.mark.parametrize("epsilon", [0.5, 2.0, 8.0, 50.0])
+def test_knife_samples_equal_sequential_allocator_calls(rng, epsilon):
+    for case, svt_constant in enumerate((0.02, 0.1, 1.0, 16.0)):
+        params = PrivacyParams(epsilon=epsilon, beta=0.1, svt_constant=svt_constant)
+        n, m = int(rng.integers(2, 7)), int(rng.integers(0, 40))
+        p = random_additive_profile(rng, n, m, max_value=int(rng.choice([1, 4, 50, 10**6])))
+        stream = RandomStream(case)
+        sequential = [dp_moving_knife(p, params, stream) for _ in range(30)]
+        assert list(knife_samples(p, params, RandomStream(case), 30)) == sequential
 
 
 def test_failure_rate_at_proof_chain_c_is_low(rng):
