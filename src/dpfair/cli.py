@@ -471,6 +471,32 @@ def _grid(cast):
     return parse
 
 
+# Flags that one mode of their leaf ignores parse to None when absent, so
+# that one given in that mode can be refused; absent ones then get these.
+_MODE_DEFAULTS = {
+    "svt_constant": PrivacyParams.svt_constant,
+    "enum_cap": DEFAULT_ENUMERATION_CAP,
+    "trials": 1000,
+}
+
+
+def _refuse_ignored_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Exit 2 on a flag the chosen mode does not read; then fill in absent ones."""
+    given = {key for key, value in vars(args).items() if value is not None}
+    algorithm, exact = getattr(args, "algorithm", None), getattr(args, "exact", None)
+    for flag, key, ignored, mode in (
+        ("--svt-constant", "svt_constant", algorithm == "ef", "--algorithm ef"),
+        ("--enum-cap", "enum_cap", algorithm == "prop", "--algorithm prop"),
+        ("--g", "g", exact is False, "a sampled audit (without --exact)"),
+        ("--trials", "trials", exact is True, "--exact"),
+    ):
+        if ignored and key in given:
+            parser.error(f"{flag} is not read with {mode}")
+    for key, default in _MODE_DEFAULTS.items():
+        if getattr(args, key, default) is None:
+            setattr(args, key, default)
+
+
 def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
     """One leaf parser per command, declaring only the flags its handler reads.
 
@@ -490,16 +516,21 @@ def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
     beta = arg("--beta", type=float, default=PrivacyParams.beta)
     svt = arg("--svt-constant", type=float, default=PrivacyParams.svt_constant)
     cap = arg("--enum-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    trials = arg("--trials", type=_positive_int, default=1000)
-    # what _mechanism_for reads besides epsilon and beta
-    mechanism = [arg("--algorithm", choices=("ef", "prop"), default="ef"), svt, cap]
+    trials = arg("--trials", type=_positive_int, default=_MODE_DEFAULTS["trials"])
+    # What _mechanism_for reads besides epsilon and beta.  A flag that only
+    # one mode of its leaf reads parses to None when absent (see _MODE_DEFAULTS).
+    mechanism = [
+        arg("--algorithm", choices=("ef", "prop"), default="ef"),
+        arg("--svt-constant", type=float, default=None),
+        arg("--enum-cap", type=int, default=None),
+    ]
     size = [arg("--n", type=int, required=True), arg("--m", type=int, required=True)]
     packing = [
         *size, epsilon, arg("--c", type=int, default=None), arg("--T", type=int, default=None),
         arg("--pick", default=None, help="emit one family member: 'base' or 1..T"),
     ]
     ratio = [
-        *mechanism, epsilon, beta, trials,
+        *mechanism, epsilon, beta, arg("--trials", type=_positive_int, default=None),
         arg("--instance1", required=True, help="first instance"),
         arg("--instance2", required=True, help="second instance"),
         arg("--exact", action="store_true",
@@ -590,6 +621,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
+        _refuse_ignored_flags(parser, args)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)

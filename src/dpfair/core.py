@@ -270,7 +270,8 @@ def threshold_counts(values: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]
     counts fall as ``v`` rises, so each term after a zero one is zero.
     The table holds ``D * (len(values) + 1)`` counts for ``D`` distinct
     positive values, so it suits short rows such as the EF scorer's; the
-    moving knife's long ranges truncate sorted pieces instead.
+    moving knife's long ranges use a wavelet matrix instead, of
+    ``len(values) * ceil(log2 D)`` entries.
     """
     table, below = [], 0
     for v in sorted(set(values) - {0}):

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -132,6 +133,16 @@ def exponential_mechanism(
     return em_draw(stream.generator, em_cumulative(scores, epsilon))
 
 
+# above_threshold compares its first _SVT_HEAD queries one at a time, so a
+# short run never pays a numpy block's fixed cost; later queries go in
+# blocks that double from 256 up to _SVT_BLOCK.  numpy's log1p may differ
+# from math.log1p in the last bit, so a block decision within a relative
+# _SVT_MARGIN of the threshold is remade with the scalar transform.
+_SVT_HEAD = 32
+_SVT_BLOCK = 4096
+_SVT_MARGIN = 1e-9
+
+
 def above_threshold(
     stream: RandomStream,
     queries: Iterable[float],
@@ -142,23 +153,77 @@ def above_threshold(
 
     Draws one Laplace(2/epsilon) threshold perturbation, then compares each
     query plus fresh Laplace(4/epsilon) noise against it, stopping at the
-    first success.  Queries are consumed lazily, each exactly once, and
-    never past the selected index, so callers may pass a generator whose
-    elements are expensive to evaluate.
+    first success.  Each query's noise is the next uniform of the stream,
+    mapped as :func:`sample_laplace` maps it, so the outcome and the
+    stream's final state equal those of the one-query-at-a-time loop.  The
+    first 32 queries are consumed lazily and never past the selected index,
+    so callers may pass a generator whose elements are expensive to
+    evaluate.  Later ones are read and compared in numpy blocks of up to
+    4096; on acceptance inside a block the stream is restored to its state
+    before the block, buffered 32-bit half included, and advanced by exactly
+    the draws of the queries up to the selected one.  A numpy array of
+    queries is sliced into blocks without a copy.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     rho = sample_laplace(stream, 2.0 / epsilon)
-    # Each query's Laplace(4/epsilon) noise is the next uniform of the same
-    # generator, mapped as sample_laplace maps it.
-    random = stream.generator.random
+    threshold = tau + rho
     scale = 4.0 / epsilon
+    generator = stream.generator
+    random = generator.random
+    if isinstance(queries, np.ndarray):
+        head, rest = queries[:_SVT_HEAD].tolist(), queries[_SVT_HEAD:]
+    else:
+        rest = iter(queries)
+        head = islice(rest, _SVT_HEAD)
     consumed = 0
-    for index, value in enumerate(queries):
+    for value in head:
+        if value + _laplace(random(), scale) >= threshold:
+            return SvtOutcome(index=consumed, queries_consumed=consumed + 1)
         consumed += 1
-        if value + _laplace(random(), scale) >= tau + rho:
-            return SvtOutcome(index=index, queries_consumed=consumed)
+    for block in _query_blocks(rest):
+        saved = generator.bit_generator.state
+        uniforms = random(len(block))
+        index = _first_above(block, uniforms, threshold, scale)
+        if index is not None:
+            generator.bit_generator.state = saved
+            random(index + 1)
+            return SvtOutcome(index=consumed + index, queries_consumed=consumed + index + 1)
+        consumed += len(block)
     return SvtOutcome(index=None, queries_consumed=consumed)
+
+
+def _query_blocks(rest: np.ndarray | Iterator[float]) -> Iterator[np.ndarray]:
+    # The queries after the head, in blocks of 256, 512, ... up to _SVT_BLOCK.
+    start, size = 0, 256
+    while True:
+        if isinstance(rest, np.ndarray):
+            block = rest[start : start + size]
+        else:
+            block = np.fromiter(islice(rest, size), dtype=np.float64)
+        if not len(block):
+            return
+        yield block
+        start += size
+        size = min(2 * size, _SVT_BLOCK)
+
+
+def _first_above(
+    values: np.ndarray, uniforms: np.ndarray, threshold: float, scale: float
+) -> Optional[int]:
+    # First index at which value + Laplace noise of its uniform reaches the
+    # threshold, decided as the scalar loop decides it, or None.
+    p = np.maximum(uniforms, 2.0**-53) - 0.5  # _laplace's nudge of v = 0
+    noise = -scale * np.copysign(1.0, p) * np.log1p(-2.0 * np.abs(p))
+    noisy = values + noise
+    margin = _SVT_MARGIN * (np.abs(values) + np.abs(noise) + abs(threshold))
+    for index in np.flatnonzero(noisy >= threshold - margin):
+        if (
+            noisy[index] >= threshold + margin[index]
+            or float(values[index]) + _laplace(float(uniforms[index]), scale) >= threshold
+        ):
+            return int(index)
+    return None
 
 
 def monte_carlo_count(

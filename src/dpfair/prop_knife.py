@@ -12,15 +12,20 @@ to at most the total budget.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .core import ConnectedAllocation, PrivacyParams, UtilityProfile, least_true
 from .mechanisms import RandomStream, above_threshold
 
 _ADDITIVE_ONLY = "the moving-knife allocator requires additive utilities"
+# The breakpoint search cuts each c's interval into _FAN_OUT parts per step,
+# and holds at most _SEARCH_CHUNK values of c at a time.
+_FAN_OUT = 4
+_SEARCH_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -103,24 +108,10 @@ def f_value(
     searched with :func:`~dpfair.core.least_true`.  The value is
     nondecreasing in ``h``: moving an item into the left piece never lowers
     its truncated value and never raises the right piece's.  This is the
-    first step of the incremental scan the allocator runs over ``h = lo..hi``.
-    Like :func:`dp_moving_knife`, it accepts only additive profiles.
+    definition; the allocator computes every cut of a range at once from
+    the breakpoints of this function.  Like :func:`dp_moving_knife`, it
+    accepts only additive profiles.
     """
-    return next(_cut_values(profile, agent, lo, hi, h, g_b, n_left, n_right))
-
-
-def _cut_values(
-    profile: UtilityProfile,
-    agent: int,
-    lo: int,
-    hi: int,
-    h: int,
-    g_b: int,
-    n_left: int,
-    n_right: int,
-) -> Iterator[int]:
-    # Yields f_value at h, h+1, ..., hi.  Each piece is sorted once,
-    # ascending; a step moves item h+1 from the right piece to the left one.
     if not 1 <= lo <= h <= hi <= profile.m:
         raise ValueError(f"invalid range lo={lo} h={h} hi={hi} for m={profile.m}")
     if n_left < 1 or n_right < 1:
@@ -132,54 +123,130 @@ def _cut_values(
     row = profile.values[agent - 1]
     left = sorted(row[lo - 1 : h])
     right = sorted(row[h:hi])
-    # Each piece holds a cursor and the sum of its items below the cursor,
-    # which are its smallest.  A probe moves a cursor to the number of items
-    # its piece keeps and pays only the distance moved.
-    left_at, left_kept = 0, 0
-    right_at, right_kept = len(right), sum(right)
 
     def rejected(t: int) -> bool:
-        # k-truncated value of an ascending piece: the sum of all but its k
-        # largest items.  Probed t exceed g_b - len(right), so the right
-        # piece keeps at least one item.
-        nonlocal left_at, left_kept, right_at, right_kept
-        at = max(len(left) - g_b - t, 0)
-        while left_at < at:
-            left_kept += left[left_at]
-            left_at += 1
-        while left_at > at:
-            left_at -= 1
-            left_kept -= left[left_at]
-        at = len(right) - g_b + t
-        while right_at < at:
-            right_kept += right[right_at]
-            right_at += 1
-        while right_at > at:
-            right_at -= 1
-            right_kept -= right[right_at]
-        return n_right * left_kept < n_left * right_kept
+        # k-truncated value of an ascending piece: the sum of all but its k largest items.
+        kept_left = sum(left[: max(len(left) - g_b - t, 0)])
+        kept_right = sum(right[: max(len(right) - g_b + t, 0)])
+        return n_right * kept_left < n_left * kept_right
 
-    least = 1
-    while True:
-        # No t <= g_b - len(right) is rejected (the right piece is truncated
-        # to nothing), and since f is nondecreasing in h, neither is any t
-        # below the previous answer.
-        least = least_true(rejected, max(least, g_b - len(right) + 1), g_b)
-        yield least - 1
-        if h == hi:
-            return
-        item = row[h]  # item h + 1
-        at = bisect_left(right, item)
-        del right[at]
-        if at < right_at:
-            right_at -= 1
-            right_kept -= item
-        at = bisect_right(left, item)
-        if at < left_at:
-            # item joins the kept items and pushes out the largest of them.
-            left_kept += item - left[left_at - 1]
-        left.insert(at, item)
-        h += 1
+    return least_true(rejected, 1, g_b) - 1
+
+
+class _Wavelet:
+    """Wavelet matrix of a row: the sum of the ``k`` smallest items of any interval.
+
+    Level ``i`` reads bit ``i`` (from the top) of each item's rank among
+    the row's distinct values and holds prefix counts of the items whose bit
+    is 0 and prefix sums of their values; the next level lists the 0-items
+    before the 1-items, each in order (the wavelet matrix of SPIRE 2012).  A
+    query descends the levels once, taking the whole 0-side of its interval
+    whenever the ``k`` smallest reach past it (Gagie, Navarro & Puglisi, TCS
+    2012, arXiv:1011.4532).  Memory is O(L log D) for ``L`` items of ``D``
+    distinct values.
+    """
+
+    def __init__(self, values: np.ndarray):
+        distinct, ranks = np.unique(values, return_inverse=True)
+        depth = (len(distinct) - 1).bit_length()
+        # int32 counts: a row of 2**31 Python ints would not fit in memory anyway.
+        self.zeros = np.zeros((depth, len(values) + 1), dtype=np.int32)
+        self.sums = np.zeros((depth, len(values) + 1), dtype=values.dtype)
+        for level in range(depth):
+            ones = (ranks >> (depth - 1 - level)) & 1
+            zero = ones == 0
+            np.cumsum(zero, out=self.zeros[level, 1:])
+            np.cumsum(np.where(zero, values, 0), out=self.sums[level, 1:])
+            order = np.concatenate([np.flatnonzero(zero), np.flatnonzero(ones)])
+            ranks, values = ranks[order], values[order]
+        self.leaves = values  # items in their last level's order
+
+    def smallest(self, bounds: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """Sum of the ``k`` smallest items of each interval ``[bounds[0], bounds[1])``.
+
+        Each ``k`` is at most its interval's length.
+        """
+        total = 0
+        for zeros, sums in zip(self.zeros, self.sums):
+            at = zeros[bounds]  # where the interval's 0-items start and stop below
+            in_zeros = at[1] - at[0]
+            # The k smallest reach past this level's 0-items: take all of them.
+            past = k > in_zeros
+            ends = sums[bounds]
+            total = total + (ends[1] - ends[0]) * past
+            k = k - in_zeros * past
+            bounds = np.where(past, bounds - at + zeros[-1], at)
+        # What is left of k are copies of the one value the descent reached.
+        return total + k * self.leaves[np.minimum(bounds[0], len(self.leaves) - 1)]
+
+
+def _breakpoints(row: Sequence[int], g_b: int, n_left: int, n_right: int) -> np.ndarray:
+    # Ascending offsets H(c) - lo of the least cut with f >= c, for c from
+    # max(1, g_b - size + 2) to g_b; every smaller c has H(c) = lo.  t = c is
+    # rejected at no cut past H(c).
+    size = len(row)
+    # At j = 0 the right piece keeps max(size - 1 - g_b + c, 0) items, none
+    # for c <= g_b - size + 1; at j = size - 1 - g_b + c it keeps none for c.
+    c = np.arange(max(1, g_b - size + 2), g_b + 1)
+    if not len(c):
+        return c
+    # Sums stay below 2**62 after weighting, or the row is kept as Python ints.
+    fits = max(row) * size * max(n_left, n_right) < 2**62
+    values = np.array(row, dtype=np.int64 if fits else object)
+    # While j < g_b + c the left piece keeps nothing, so t = c is accepted
+    # exactly when the right piece [j + 1, size) holds at most g_b - c
+    # positive items; that count falls as j grows.
+    positives = np.append(np.cumsum(values[:0:-1] > 0)[::-1], 0)
+    first = np.searchsorted(-positives, c - g_b)
+    early = first < g_b + c
+    below = np.where(early, first, g_b + c)
+    above = np.where(early, first, size - 1 - g_b + c)
+    live = np.flatnonzero(below < above)
+    if len(live):
+        wavelet = _Wavelet(values)
+        for part in range(0, len(live), _SEARCH_CHUNK):
+            chunk = live[part : part + _SEARCH_CHUNK]
+            below[chunk] = _bisect(
+                wavelet, c[chunk], below[chunk], above[chunk], g_b, n_left, n_right
+            )
+    return below
+
+
+def _bisect(
+    wavelet: _Wavelet,
+    c: np.ndarray,
+    below: np.ndarray,
+    above: np.ndarray,
+    g_b: int,
+    n_left: int,
+    n_right: int,
+) -> np.ndarray:
+    # Fan-out bisection for every c at once: H(c) - lo lies in
+    # [below, above], and t = c is accepted at above.
+    size = len(wavelet.leaves)
+    c = c[:, None]  # one row of probes per c
+    fan = np.arange(1, _FAN_OUT)
+    while (below < above).any():
+        width = above - below
+        cuts = below[:, None] + width[:, None] * fan // _FAN_OUT
+        # The left piece is [0, split) and the right one [split, size).
+        split = (cuts + 1).ravel()
+        n = len(split)
+        bounds = np.stack([
+            np.concatenate([np.zeros_like(split), split]),
+            np.concatenate([split, np.full_like(split, size)]),
+        ])
+        kept = np.concatenate([(cuts + 1 - g_b - c).ravel(), (size - 1 - g_b + c - cuts).ravel()])
+        sums = wavelet.smallest(bounds, np.maximum(kept, 0))
+        rejected = n_right * sums[:n] < n_left * sums[n:]
+        # Acceptance is monotone in j, so the first r probes are rejected:
+        # keep the gap between probe r - 1 and probe r.
+        r = rejected.reshape(cuts.shape).sum(axis=1)
+        below, above = (
+            np.where(r > 0, below + width * r // _FAN_OUT + 1, below),
+            np.where(r < _FAN_OUT - 1, below + width * (r + 1) // _FAN_OUT, above),
+        )
+    return below
 
 
 def dp_moving_knife(
@@ -206,19 +273,35 @@ def knife_samples(
 ) -> Iterator[tuple[ConnectedAllocation, KnifeTrace]]:
     """``k`` runs of :func:`dp_moving_knife` in turn on one stream, lazily.
 
-    The budget schedule is computed once for all of them, and each run is
-    made only when the iterator reaches it, so a caller that keeps only the
-    allocations never holds ``k`` traces.
+    The budget schedule and each agent's root-call cut values (every run's
+    root call scans ``[1, m]`` at the top level; at most ``n * m`` values)
+    are computed once for all of them.  Each run is made only when the
+    iterator reaches it, so a caller that keeps only the allocations never
+    holds ``k`` traces.
     """
     if profile.kind != "additive":
         raise ValueError(_ADDITIVE_ONLY)
     schedule = budget_schedule(profile.m, profile.n, params)
-    return (_knife_run(profile, schedule, stream) for _ in range(k))
+    roots = ()
+    if schedule:
+        _, g_b = schedule[max(schedule)]
+        n_left, n_right = _group_sizes(profile.n)
+        roots = tuple(
+            _cut_queries(profile, agent, 1, profile.m, g_b, n_left, n_right)
+            for agent in profile.agents
+        )
+    return (_knife_run(profile, schedule, roots, stream) for _ in range(k))
+
+
+def _group_sizes(size: int) -> tuple[int, int]:
+    # A call on `size` agents sends the larger half left.
+    return size - size // 2, size // 2
 
 
 def _knife_run(
     profile: UtilityProfile,
     schedule: dict[int, tuple[float, int]],
+    roots: tuple[np.ndarray, ...],
     stream: RandomStream,
 ) -> tuple[ConnectedAllocation, KnifeTrace]:
     spans: list = [None] * profile.n
@@ -234,18 +317,16 @@ def _knife_run(
             return
         b = math.ceil(math.log2(len(agents)))
         eps_b, g_b = schedule[b]
-        n_right = len(agents) // 2
-        n_left = len(agents) - n_right
+        n_left, n_right = _group_sizes(len(agents))
         hs = []
         fired = []
         queries = []
         for agent in agents:
-            outcome = above_threshold(
-                stream,
-                _cut_queries(profile, agent, lo, hi, g_b, n_left, n_right),
-                tau=g_b / 2.0,
-                epsilon=eps_b,
-            )
+            if depth == 0:
+                cuts = roots[agent - 1]
+            else:
+                cuts = _cut_queries(profile, agent, lo, hi, g_b, n_left, n_right)
+            outcome = above_threshold(stream, cuts, tau=g_b / 2.0, epsilon=eps_b)
             queries.append(outcome.queries_consumed)
             if outcome.index is None:
                 # Exhaustion is a low-probability noise event; the sentinel
@@ -298,12 +379,15 @@ def _cut_queries(
     g_b: int,
     n_left: int,
     n_right: int,
-) -> Iterator[float]:
-    # Lazy: the threshold mechanism stops at the first accepted position, so
-    # later cut values are never computed.  hi < lo yields no queries.
+) -> np.ndarray:
+    # f_value at h = lo..hi: the number of c in [1, g_b] whose breakpoint
+    # H(c) is at most h.  hi < lo gives no queries.
     if hi < lo:
-        return iter(())
-    return map(float, _cut_values(profile, agent, lo, hi, lo, g_b, n_left, n_right))
+        return np.zeros(0, dtype=np.int64)
+    row = profile.values[agent - 1][lo - 1 : hi]
+    breakpoints = _breakpoints(row, g_b, n_left, n_right)
+    unsearched = g_b - len(breakpoints)  # the c below the searched ones: H(c) = lo
+    return unsearched + np.searchsorted(breakpoints, np.arange(len(row)), side="right")
 
 
 def proof_chain_c(m: int, n: int, params: PrivacyParams) -> int:
@@ -327,8 +411,7 @@ def proof_chain_c(m: int, n: int, params: PrivacyParams) -> int:
         b = math.ceil(math.log2(size))
         _, g_b = schedule[b]
         term = -(-2 * g_b // size)  # ceil(2 g_b / size) in integers
-        n_right = size // 2
-        n_left = size - n_right
+        n_left, n_right = _group_sizes(size)
         walk(n_left, acc + term)
         walk(n_right, acc + term)
 

@@ -228,7 +228,8 @@ def test_privacy_ratio_needs_instances_one_cell_apart(tmp_path, capsys, mode):
     code, text, err = run_cli(["audit", "privacy-ratio", *pair], capsys)
     assert code == 2 and text == ""
     assert "not 2" in err and "audit group" in err
-    code, text, _ = run_cli(["audit", "group", *pair, "--trials", "50"], capsys)
+    trials = [] if mode else ["--trials", "50"]  # --exact reads no --trials
+    code, text, _ = run_cli(["audit", "group", *pair, *trials], capsys)
     assert code == 0
     assert json.loads(text)["result"]["bound"] == pytest.approx(math.exp(2.0))
 
@@ -411,6 +412,48 @@ def test_a_flag_the_command_does_not_read_exits_two(argv, flag, capsys):
     code, _, err = run_cli([*argv, *flag], capsys)
     assert code == 2
     assert f"unrecognized arguments: {flag[0]}" in err
+
+
+PAIR = ["--instance1", "a.json", "--instance2", "b.json"]
+GRID = ["--ns", "2", "--ms", "3", "--epsilons", "2", "--betas", "0.1"]
+
+# A flag given in the one mode of its leaf that does not read it.
+IGNORED_IN_MODE = [
+    (["audit", "privacy-ratio", *PAIR, "--algorithm", "ef"], ["--svt-constant", "1"]),
+    (["audit", "group", *PAIR], ["--svt-constant", "1"]),  # --algorithm defaults to ef
+    (["audit", "fairness-rate", "--instance", "i.json"], ["--svt-constant", "1"]),
+    (["sweep", *GRID, "--algorithm", "ef"], ["--svt-constant", "1"]),
+    (["audit", "privacy-ratio", *PAIR, "--algorithm", "prop"], ["--enum-cap", "5"]),
+    (["audit", "fairness-rate", "--instance", "i.json", "--algorithm", "prop"],
+     ["--enum-cap", "5"]),
+    (["sweep", *GRID, "--algorithm", "prop"], ["--enum-cap", "5"]),
+    (["audit", "privacy-ratio", *PAIR], ["--g", "2"]),
+    (["audit", "group", *PAIR], ["--g", "2"]),
+    (["audit", "privacy-ratio", *PAIR, "--exact"], ["--trials", "5"]),
+    (["audit", "group", *PAIR, "--exact"], ["--trials", "5"]),
+]
+
+
+@pytest.mark.parametrize("argv,flag", IGNORED_IN_MODE, ids=lambda x: " ".join(x[:2]))
+def test_a_flag_the_chosen_mode_does_not_read_exits_two(argv, flag, capsys):
+    code, out, err = run_cli([*argv, *flag], capsys)
+    assert code == 2 and out == ""
+    assert f"{flag[0]} is not read with" in err
+
+
+def test_absent_mode_flags_report_their_defaults(tmp_path, capsys):
+    a = write_instance(tmp_path, "a.json", [[1, 0, 1], [0, 1, 1]])
+    b = write_instance(tmp_path, "b.json", [[1, 0, 0], [0, 1, 1]])
+    pair = ["--instance1", a, "--instance2", b]
+    for argv, read in [
+        (["--exact", "--g", "2"], {"svt_constant": PrivacyParams.svt_constant, "trials": 1000}),
+        (["--algorithm", "prop", "--svt-constant", "2", "--trials", "20"],
+         {"svt_constant": 2.0, "enum_cap": 10**7, "trials": 20}),
+    ]:
+        code, text, _ = run_cli(["audit", "privacy-ratio", *pair, *argv], capsys)
+        assert code == 0
+        parameters = json.loads(text)["parameters"]
+        assert {key: parameters[key] for key in read} == read
 
 
 def _leaf_paths(parser, path=()):

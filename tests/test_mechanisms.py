@@ -249,3 +249,93 @@ def test_svt_draws_the_reference_loops_noise_in_order(queries, tau, epsilon, see
         twin, values, float(tau), epsilon
     )
     assert stream.generator.bit_generator.state == twin.generator.bit_generator.state
+
+
+def _edge(threshold, noise, accepted):
+    # The query at which `query + noise >= threshold` flips, as float addition
+    # decides it: the least accepted value or the greatest rejected one.
+    value = threshold - noise
+    while value + noise >= threshold:
+        value = math.nextafter(value, -math.inf)
+    while math.nextafter(value, math.inf) + noise < threshold:
+        value = math.nextafter(value, math.inf)
+    return math.nextafter(value, math.inf) if accepted else value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    length=st.integers(min_value=0, max_value=64) | st.integers(min_value=4_000, max_value=10_000),
+    step=st.integers(min_value=0, max_value=10_000),
+    depth=st.integers(min_value=-2, max_value=40),
+    near_start=st.integers(min_value=0, max_value=9_999),
+    near_count=st.integers(min_value=0, max_value=300),
+    edge=st.sampled_from(["rejected", "accepted", -1e-9, 1e-9]),
+    buffered=st.booleans(),
+    as_array=st.booleans(),
+    epsilon=st.floats(min_value=0.05, max_value=50.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_block_svt_equals_the_textbook_loop(
+    length, step, depth, near_start, near_count, edge, buffered, as_array, epsilon, seed
+):
+    # A step function from `depth` noise scales below tau to 40 above it, long
+    # enough to pass the scalar head and a 4096-block boundary.  A run of
+    # queries sits where each one's own noise meets tau + rho: on either side
+    # of the float boundary, where numpy's log1p may decide otherwise, or a
+    # relative 1e-9 off it; a run of rejected ones is read to its end.  A
+    # small tau keeps the noise comparable to tau + rho, where a last-bit
+    # change flips a decision.  A buffered 32-bit half must survive the rewind.
+    tau, scale = 1.0, 4.0 / epsilon
+    streams = [RandomStream(seed) for _ in range(3)]
+    if buffered:
+        for stream in streams:
+            stream.generator.integers(0, 1000, dtype=np.int32)
+    stream, twin, spy = streams
+    threshold = tau + sample_laplace(spy, 2.0 / epsilon)
+    noise = [sample_laplace(spy, scale) for _ in range(length)]
+    values = [tau - depth * scale if i < step else tau + 40 * scale for i in range(length)]
+    near_start %= length + 1
+    for i in range(near_start, min(near_start + near_count, length)):
+        if isinstance(edge, str):
+            values[i] = _edge(threshold, noise[i], edge == "accepted")
+        else:
+            values[i] = (threshold - noise[i]) * (1.0 + edge)
+    queries = np.array(values) if as_array else values
+    assert above_threshold(stream, queries, tau, epsilon) == reference_above_threshold(
+        twin, values, tau, epsilon
+    )
+    assert stream.generator.bit_generator.state == twin.generator.bit_generator.state
+
+
+@pytest.mark.parametrize("accepted", [True, False])
+def test_block_svt_remakes_a_decision_numpy_rounds_the_other_way(accepted):
+    # numpy's log1p may differ from math.log1p in the last bit.  One query
+    # past the scalar head sits on the float boundary of its own noise, at the
+    # first position where numpy's noise decides it the other way; the other
+    # queries are far below tau, except a last one far above.
+    epsilon, tau, length = 2.0, 1.0, 3000
+    scale = 4.0 / epsilon
+    for seed in range(100):
+        spy = RandomStream(seed)
+        threshold = tau + sample_laplace(spy, 2.0 / epsilon)
+        state = spy.generator.bit_generator.state
+        p = np.maximum(spy.generator.random(length), 2.0**-53) - 0.5
+        numpy_noise = -scale * np.copysign(1.0, p) * np.log1p(-2.0 * np.abs(p))
+        spy.generator.bit_generator.state = state
+        noise = [sample_laplace(spy, scale) for _ in range(length)]
+        flips = [
+            i
+            for i in range(100, length)
+            if (_edge(threshold, noise[i], accepted) + numpy_noise[i] >= threshold) != accepted
+        ]
+        if flips:
+            break
+    position = flips[0]
+    values = [tau - 40 * scale] * length
+    values[position] = _edge(threshold, noise[position], accepted)
+    values[-1] = tau + 40 * scale
+    stream, twin = RandomStream(seed), RandomStream(seed)
+    outcome = above_threshold(stream, np.array(values), tau, epsilon)
+    assert outcome == reference_above_threshold(twin, values, tau, epsilon)
+    assert outcome.index == (position if accepted else length - 1)
+    assert stream.generator.bit_generator.state == twin.generator.bit_generator.state

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,7 +147,7 @@ def test_scan_matches_per_position_f_value(rng):
         starts_inside += h0 > lo
         n_left, n_right = (int(v) for v in rng.choice([1, 2, 3, 5], size=2, replace=False))
         for g_b in (1, 2, 3, 7, hi - lo + 2):  # the last exceeds the range
-            scan = list(prop_knife._cut_values(p, 2, lo, hi, h0, g_b, n_left, n_right))
+            scan = list(prop_knife._cut_queries(p, 2, lo, hi, g_b, n_left, n_right)[h0 - lo :])
             per_position = [
                 f_value(p, 2, lo, hi, h, g_b, n_left, n_right) for h in range(h0, hi + 1)
             ]
@@ -155,8 +156,6 @@ def test_scan_matches_per_position_f_value(rng):
                 sorted_f(p.values[1], lo, hi, h, g_b, n_left, n_right)
                 for h in range(h0, hi + 1)
             ]
-            queries = prop_knife._cut_queries(p, 2, lo, hi, g_b, n_left, n_right)
-            assert list(queries)[h0 - lo :] == [float(v) for v in scan]
     assert starts_inside > 0
 
 
@@ -172,7 +171,7 @@ def test_scan_stays_exact_past_int64(rng):
         n_left, n_right = (int(v) for v in rng.choice([1, 2, 3], size=2))
         for g_b in (1, 2, 5, hi - lo + 2):
             expected = [sorted_f(row, lo, hi, h, g_b, n_left, n_right) for h in range(lo, hi + 1)]
-            assert list(prop_knife._cut_values(p, 1, lo, hi, lo, g_b, n_left, n_right)) == expected
+            assert list(prop_knife._cut_queries(p, 1, lo, hi, g_b, n_left, n_right)) == expected
             assert [
                 f_value(p, 1, lo, hi, h, g_b, n_left, n_right) for h in range(lo, hi + 1)
             ] == expected
@@ -196,12 +195,12 @@ def test_f_value_nondecreasing_in_h(size, n_left, n_right, data):
     span = data.draw(st.integers(min_value=1, max_value=size))
     lo = data.draw(st.integers(min_value=1, max_value=size - span + 1))
     hi = lo + span - 1
-    # Small g_b leaves items below the left cursor, where the scan's insertions land.
+    # Small g_b keeps most of the left piece, so its sums span many items.
     g_b = data.draw(st.integers(1, 3) | st.integers(1, span + 2))
     values = [f_value(p, 1, lo, hi, h, g_b, n_left, n_right) for h in range(lo, hi + 1)]
     assert values == sorted(values)
-    # The scan starts each search at the previous value, which only this order allows.
-    assert list(prop_knife._cut_values(p, 1, lo, hi, lo, g_b, n_left, n_right)) == values
+    # The allocator counts breakpoints, which describe f only because of this order.
+    assert list(prop_knife._cut_queries(p, 1, lo, hi, g_b, n_left, n_right)) == values
 
 
 def test_f_value_rejects_general_kind():
@@ -387,16 +386,16 @@ def test_f_value_reads_only_the_queried_agents_row(rng):
 
 
 def test_allocator_reads_each_row_only_inside_its_own_branch(monkeypatch, rng):
-    # Scans run one after another (an abandoned scan is never resumed), so
-    # every read belongs to the scan that started last.
+    # A range's cut values are built in one call that reads the row before it
+    # returns, so every read belongs to the build that started last.
     log = []
-    original = prop_knife._cut_values
+    original = prop_knife._cut_queries
 
     def marked(profile, agent, lo, hi, *rest):
         log.append(("scan", agent, lo, hi))
-        yield from original(profile, agent, lo, hi, *rest)
+        return original(profile, agent, lo, hi, *rest)
 
-    monkeypatch.setattr(prop_knife, "_cut_values", marked)
+    monkeypatch.setattr(prop_knife, "_cut_queries", marked)
     p = random_additive_profile(rng, n=4, m=9)
     _, trace = dp_moving_knife(_SpyProfile(p, log), PrivacyParams(epsilon=2.0), RandomStream(3))
     ranges = {}
@@ -427,6 +426,37 @@ def test_knife_samples_equal_sequential_allocator_calls(rng, epsilon):
         stream = RandomStream(case)
         sequential = [dp_moving_knife(p, params, stream) for _ in range(30)]
         assert list(knife_samples(p, params, RandomStream(case), 30)) == sequential
+
+
+def test_knife_samples_build_each_agents_root_cut_values_once(monkeypatch, rng):
+    # At n = 2 every query is at the root, whose range and level never change.
+    builds = []
+    original = prop_knife._cut_queries
+
+    def counted(profile, agent, lo, hi, *rest):
+        builds.append((agent, lo, hi))
+        return original(profile, agent, lo, hi, *rest)
+
+    monkeypatch.setattr(prop_knife, "_cut_queries", counted)
+    p = random_additive_profile(rng, n=2, m=12)
+    params = PrivacyParams(epsilon=2.0, svt_constant=0.1)
+    runs = list(knife_samples(p, params, RandomStream(5), 200))
+    assert len(runs) == 200
+    assert builds == [(1, 1, 12), (2, 1, 12)]
+
+
+def test_papers_regime_at_n8_m100000():
+    # g_b < m / n at every level, so PROP-c at the proof chain's c is a real
+    # promise: 7066 against 12500 items per agent.
+    params = PrivacyParams(epsilon=2.0, beta=0.1)
+    n, m = 8, 10**5
+    p = bernoulli_profile(n, m, RandomStream(0))
+    allocation, trace = dp_moving_knife(p, params, RandomStream(1))
+    assert validate_knife_trace(trace, n, m)
+    assert exact_budget_total(params.epsilon, trace.levels_used()) <= Fraction(params.epsilon)
+    c = proof_chain_c(m, n, params)
+    assert c == 7066 < m // n
+    assert is_prop_c(p, allocation, c)
 
 
 def test_failure_rate_at_proof_chain_c_is_low(rng):
@@ -463,9 +493,9 @@ def test_proof_chain_c_known_value():
     n_right=st.integers(min_value=1, max_value=5),
     data=st.data(),
 )
-def test_cursor_scan_matches_freshly_sorted_pieces(size, distinct, n_left, n_right, data):
+def test_breakpoint_scan_matches_freshly_sorted_pieces(size, distinct, n_left, n_right, data):
     # Rows full of duplicates (values 0..3) and rows of distinct values; g_b
-    # up to two past the range, so the cursors meet every piece size from
+    # up to two past the range, so the probed pieces keep every size from
     # empty to full.
     values = st.integers(min_value=0, max_value=10**6 if distinct else 3)
     row = data.draw(st.lists(values, min_size=size, max_size=size, unique=distinct))
@@ -474,8 +504,22 @@ def test_cursor_scan_matches_freshly_sorted_pieces(size, distinct, n_left, n_rig
     lo = data.draw(st.integers(min_value=1, max_value=size - span + 1))
     hi = lo + span - 1
     h0 = data.draw(st.integers(min_value=lo, max_value=hi))
-    # Small g_b leaves items below the left cursor, where insertions land.
+    # Small g_b keeps most of the left piece, so its sums span many items.
     g_b = data.draw(st.integers(min_value=1, max_value=3) | st.integers(min_value=1, max_value=span + 2))
-    assert list(prop_knife._cut_values(p, 1, lo, hi, h0, g_b, n_left, n_right)) == [
+    assert list(prop_knife._cut_queries(p, 1, lo, hi, g_b, n_left, n_right)[h0 - lo :]) == [
         sorted_f(row, lo, hi, h, g_b, n_left, n_right) for h in range(h0, hi + 1)
     ]
+
+
+@pytest.mark.parametrize("g_b", [40, 400, 1003])
+def test_breakpoints_on_a_row_of_many_distinct_values(g_b):
+    # 1000 distinct values below 10**6 give the wavelet ten levels.  At
+    # g_b = 40 and 400 the cuts past g_b + c are searched on it; g_b = 1003
+    # is past the range, where counts of positive items settle every cut.
+    rng = np.random.default_rng(g_b)
+    row = [int(v) for v in rng.choice(10**6, size=1000, replace=False)]
+    p = UtilityProfile.additive([row])
+    lo, hi = 1, 1000
+    expected = [f_value(p, 1, lo, hi, h, g_b, 3, 2) for h in range(lo, hi + 1)]
+    assert list(prop_knife._cut_queries(p, 1, lo, hi, g_b, 3, 2)) == expected
+    assert len(set(expected)) > 10
