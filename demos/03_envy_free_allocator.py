@@ -9,6 +9,7 @@ utility edit, which is what buys the privacy guarantee.
 from collections import Counter
 
 from dpfair import (
+    EfSampler,
     PrivacyParams,
     RandomStream,
     UtilityProfile,
@@ -38,13 +39,11 @@ print(f"  self-certified guarantee: EF{report.ef_guarantee}")
 print(f"  holds on the input: {is_ef_c(profile, report.allocation, report.ef_guarantee)}")
 print()
 
-# The output distribution is known in closed form; compare it with 20k runs.
+# The output distribution is known in closed form; compare it with 20k runs,
+# drawn in turn from one stream by the allocator prepared once for the input.
 exact = exact_em_distribution(profile, params)
-counts = Counter()
 runs = 20_000
-base = RandomStream(seed=7)
-for run in range(runs):
-    counts[dp_ef_allocate(profile, params, base.child(run)).allocation] += 1
+counts = Counter(EfSampler.prepare(profile, params).sample(RandomStream(seed=7), runs))
 
 print(f"empirical vs exact output distribution over {runs} runs:")
 top = sorted(exact.items(), key=lambda kv: -kv[1])[:5]

@@ -8,7 +8,7 @@ a random utility row with constant probability, which is the engine behind
 the agent-level impossibility results.
 """
 
-from dpfair import PrivacyParams, RandomStream, dp_ef_allocate, is_ef_c
+from dpfair import EfSampler, PrivacyParams, RandomStream, is_ef_c
 from dpfair.ef_em import connected_allocation_tuple
 from dpfair.generators import (
     ef_packing_family,
@@ -45,7 +45,7 @@ print()
 # replacement row that makes its outputs unfair for one agent.  Agent-level
 # privacy then forces the same failure (up to e^eps) on the witness input.
 params = PrivacyParams(epsilon=1.0, beta=0.1)
-mechanism = lambda profile, stream: dp_ef_allocate(profile, params, stream).allocation
+mechanism = lambda profile, stream, k: EfSampler.prepare(profile, params).sample(stream, k)
 witness = search_agent_level_witness(
     mechanism, n=2, m=6, criterion="ef", c=1,
     runs=60, candidate_rows=30, stream=RandomStream(8),

@@ -38,7 +38,7 @@ DEFAULT_Z = 3.0  # three-sigma margins throughout
 Mechanism = Callable[[UtilityProfile, RandomStream, int], Iterable]
 
 
-def _draw_counts(
+def draw_counts(
     mechanism: Mechanism, profile: UtilityProfile, stream: RandomStream, k: int
 ) -> Counter:
     """How often each outcome occurs among the mechanism's ``k`` draws on one input."""
@@ -140,8 +140,8 @@ def _sampled_ratio_report(
 ) -> RatioReport:
     if samples < 1:
         raise ValueError("need at least one sample per input")
-    counts1 = _draw_counts(mechanism, p1, stream.child(1), samples)
-    counts2 = _draw_counts(mechanism, p2, stream.child(2), samples)
+    counts1 = draw_counts(mechanism, p1, stream.child(1), samples)
+    counts2 = draw_counts(mechanism, p2, stream.child(2), samples)
     outcomes = sorted(set(counts1) | set(counts2), key=repr)
     p1_hat = tuple(counts1[o] / samples for o in outcomes)
     p2_hat = tuple(counts2[o] / samples for o in outcomes)
@@ -234,7 +234,7 @@ def fairness_failure_rate(
     check = is_ef_c if criterion == "EF" else is_prop_c
     if trials < 1:
         raise ValueError("need at least one trial")
-    counts = _draw_counts(mechanism, profile, stream, trials)
+    counts = draw_counts(mechanism, profile, stream, trials)
     failures = sum(
         count for allocation, count in counts.items() if not check(profile, allocation, c)
     )

@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .audit import Mechanism, draw_counts
 from .core import Adjacency, UtilityProfile, adjacency_distance, is_ef_c, is_prop_c
 from .mechanisms import RandomStream, monte_carlo_count
 
@@ -234,7 +235,7 @@ class AgentLevelWitness:
 
 
 def search_agent_level_witness(
-    mechanism: Callable[[UtilityProfile, RandomStream], object],
+    mechanism: Mechanism,
     n: int,
     m: int,
     criterion: str,
@@ -245,19 +246,22 @@ def search_agent_level_witness(
 ) -> AgentLevelWitness:
     """Monte-Carlo search for an agent-level hard instance against a mechanism.
 
-    Samples the mechanism's output distribution on the all-zero profile,
-    then searches random single-agent utility rows for the (agent, row)
-    pair under which the sampled outputs are most frequently unfair to that
-    agent.  The averaging argument behind the lower bounds guarantees a
-    good witness exists; it does not exhibit one, hence the search.
+    Samples the mechanism's output distribution on the all-zero profile (its
+    ``runs`` outputs drawn in one call on ``stream.child(0)``), then searches
+    random single-agent utility rows for the (agent, row) pair under which
+    the sampled outputs are most frequently unfair to that agent.  Each
+    distinct output is checked once and counted as often as it was drawn.
+    The averaging argument behind the lower bounds guarantees a good
+    witness exists; it does not exhibit one, hence the search.
     """
     if criterion not in ("ef", "prop"):
         raise ValueError("criterion must be 'ef' or 'prop'")
+    if runs < 1:
+        raise ValueError("need at least one run")
     check = is_ef_c if criterion == "ef" else is_prop_c
     base = all_zero_profile(n, m)
-    run_stream, search_stream = stream.child(0), stream.child(1)
-    outputs = [mechanism(base, run_stream.child(run)) for run in range(runs)]
-    row_stream = search_stream.generator
+    counts = draw_counts(mechanism, base, stream.child(0), runs)
+    row_stream = stream.child(1).generator
     best: Optional[AgentLevelWitness] = None
     for _ in range(candidate_rows):
         row = tuple(int(v) for v in row_stream.integers(0, 2, size=m))
@@ -267,7 +271,9 @@ def search_agent_level_witness(
             )
             candidate = UtilityProfile(n=n, m=m, scale=1, values=values)
             failures = sum(
-                1 for allocation in outputs if not check(candidate, allocation, c)
+                count
+                for allocation, count in counts.items()
+                if not check(candidate, allocation, c)
             )
             rate = failures / runs
             if best is None or rate > best.violation_rate:

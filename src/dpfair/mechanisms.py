@@ -9,11 +9,16 @@ stream ids yield statistically independent substreams (backed by numpy's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
+
+
+# A stream reads scalar uniforms ahead in buffers of _READ_AHEAD doubles,
+# doubling on each such refill up to _READ_AHEAD_MAX.
+_READ_AHEAD = 64
+_READ_AHEAD_MAX = 1024
 
 
 class RandomStream:
@@ -23,6 +28,15 @@ class RandomStream:
     streams extend the id into a path of counters, which lets callers hand
     independent substreams to parallel trials without coordinating.  A
     stream is single-owner: its draws come from one stateful generator.
+
+    The uniforms that :func:`sample_laplace` and :func:`above_threshold`
+    read come from a read-ahead buffer: ``generator.random(size)`` yields
+    the same doubles as ``size`` one-at-a-time draws, so a read is the next
+    buffered double and a step back is a move of the read position.  The
+    :attr:`generator` property first puts the generator where one-at-a-time
+    draws would have left it, so buffered reads and direct generator calls
+    interleave as if every uniform had been drawn alone.  A generator taken
+    from the property stays in step only until the next buffered read.
     """
 
     def __init__(self, seed: int, stream_id: int | tuple[int, ...] = ()):
@@ -31,13 +45,77 @@ class RandomStream:
             stream_id = (stream_id,)
         self.path = tuple(int(x) for x in stream_id)
         self._generator: Optional[np.random.Generator] = None
+        # The buffer as an array, and as a list for scalar reads (None when
+        # a block read drew it), the read position in it, the generator's
+        # state before it was drawn (None while no buffer is held) and the
+        # size of the next scalar refill.
+        self._block: np.ndarray = np.empty(0)
+        self._values: Optional[list[float]] = None
+        self._position = 0
+        self._saved: Optional[dict] = None
+        self._ahead = _READ_AHEAD
 
     @property
     def generator(self) -> np.random.Generator:
+        """The generator, where one-at-a-time draws of every read uniform leave it."""
+        self._ahead = _READ_AHEAD
+        return self._sync()
+
+    def _sync(self) -> np.random.Generator:
+        # Drop the buffer, leaving the generator after its consumed doubles:
+        # restore the state from before the buffer and redraw them, unless
+        # all were consumed.  (bit_generator.advance would drop a buffered
+        # 32-bit half.)
         if self._generator is None:
             seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
             self._generator = np.random.Generator(np.random.PCG64(seq))
+        elif self._saved is not None:
+            if self._position < len(self._block):
+                self._generator.bit_generator.state = self._saved
+                self._generator.random(self._position)
+            self._saved = None
+            self._block, self._values, self._position = np.empty(0), None, 0
         return self._generator
+
+    def _reserve(self, count: int, listed: bool) -> int:
+        # Buffer at least `count` unread uniforms, as a list too if `listed`,
+        # and return the read position.  A refill restarts the buffer at the
+        # read position, so the unread tail is read again from the new one.
+        # Scalar refills read further ahead each time; a block read draws
+        # its block alone.
+        position = self._position
+        if position + count <= len(self._block) and (self._values is not None or not listed):
+            return position
+        generator = self._sync()
+        if listed:
+            size = max(count, self._ahead)
+            self._ahead = min(2 * self._ahead, _READ_AHEAD_MAX)
+        else:
+            size, self._ahead = count, _READ_AHEAD
+        self._saved = generator.bit_generator.state
+        self._block = generator.random(size)
+        self._values = self._block.tolist() if listed else None
+        return 0
+
+    def uniform(self) -> float:
+        """The next uniform in [0, 1), as ``generator.random()`` would draw it."""
+        position = self._reserve(1, True)
+        self._position = position + 1
+        return self._values[position]
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms, as a read-only view of the buffer."""
+        position = self._reserve(count, False)
+        self._position = position + count
+        view = self._block[position : position + count]
+        view.flags.writeable = False
+        return view
+
+    def step_back(self, count: int) -> None:
+        """Unread ``count`` uniforms of the last read, so they are read again next."""
+        if not 0 <= count <= self._position:
+            raise ValueError(f"cannot step back {count} of {self._position} buffered reads")
+        self._position -= count
 
     def child(self, index: int) -> "RandomStream":
         """Independent substream; ``child(i)`` is stable across runs."""
@@ -47,13 +125,13 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, stream_id={self.path})"
 
 
-@dataclass(frozen=True)
-class SvtOutcome:
+class SvtOutcome(NamedTuple):
     """Result of one above-threshold run.
 
     ``index`` is the 0-based position of the selected query, or ``None``
     when the sequence was exhausted; ``queries_consumed`` counts how many
-    queries were actually evaluated.
+    queries were actually evaluated.  A plain named tuple, so outcomes hash
+    and compare as cheaply as the pairs they are.
     """
 
     index: Optional[int]
@@ -71,7 +149,7 @@ def sample_laplace(stream: RandomStream, scale: float) -> float:
     """
     if scale <= 0:
         raise ValueError("Laplace scale must be positive")
-    return _laplace(stream.generator.random(), scale)
+    return _laplace(stream.uniform(), scale)
 
 
 def _laplace(v: float, scale: float) -> float:
@@ -159,38 +237,40 @@ def above_threshold(
     first 32 queries are consumed lazily and never past the selected index,
     so callers may pass a generator whose elements are expensive to
     evaluate.  Later ones are read and compared in numpy blocks of up to
-    4096; on acceptance inside a block the stream is restored to its state
-    before the block, buffered 32-bit half included, and advanced by exactly
-    the draws of the queries up to the selected one.  A numpy array of
-    queries is sliced into blocks without a copy.
+    4096 uniforms read ahead by the stream; on acceptance inside a block
+    the stream steps back over the uniforms past the selected query.  A
+    numpy array of queries is sliced into blocks without a copy.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     rho = sample_laplace(stream, 2.0 / epsilon)
     threshold = tau + rho
     scale = 4.0 / epsilon
-    generator = stream.generator
-    random = generator.random
     if isinstance(queries, np.ndarray):
-        head, rest = queries[:_SVT_HEAD].tolist(), queries[_SVT_HEAD:]
+        head = queries[:_SVT_HEAD].tolist()
+        blocks = _query_blocks(queries[_SVT_HEAD:]) if len(queries) > _SVT_HEAD else ()
     else:
         rest = iter(queries)
         head = islice(rest, _SVT_HEAD)
-    consumed = 0
+        blocks = _query_blocks(rest)
+    start = stream._reserve(_SVT_HEAD, True)
+    uniforms = stream._values
+    position = start
     for value in head:
-        if value + _laplace(random(), scale) >= threshold:
-            return SvtOutcome(index=consumed, queries_consumed=consumed + 1)
-        consumed += 1
-    for block in _query_blocks(rest):
-        saved = generator.bit_generator.state
-        uniforms = random(len(block))
-        index = _first_above(block, uniforms, threshold, scale)
+        noise = _laplace(uniforms[position], scale)
+        position += 1
+        if value + noise >= threshold:
+            stream._position = position
+            return SvtOutcome(position - start - 1, position - start)
+    stream._position = position
+    consumed = position - start
+    for block in blocks:
+        index = _first_above(block, stream.uniforms(len(block)), threshold, scale)
         if index is not None:
-            generator.bit_generator.state = saved
-            random(index + 1)
-            return SvtOutcome(index=consumed + index, queries_consumed=consumed + index + 1)
+            stream.step_back(len(block) - index - 1)
+            return SvtOutcome(consumed + index, consumed + index + 1)
         consumed += len(block)
-    return SvtOutcome(index=None, queries_consumed=consumed)
+    return SvtOutcome(None, consumed)
 
 
 def _query_blocks(rest: np.ndarray | Iterator[float]) -> Iterator[np.ndarray]:

@@ -19,13 +19,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import ConnectedAllocation, PrivacyParams, UtilityProfile, least_true
-from .mechanisms import RandomStream, above_threshold
+from .mechanisms import RandomStream, SvtOutcome, above_threshold
 
 _ADDITIVE_ONLY = "the moving-knife allocator requires additive utilities"
 # The breakpoint search cuts each c's interval into _FAN_OUT parts per step,
 # and holds at most _SEARCH_CHUNK values of c at a time.
 _FAN_OUT = 4
 _SEARCH_CHUNK = 8192
+# knife_samples keeps at most this many recursion steps and as many runs.
+_MEMO_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -277,20 +279,29 @@ def knife_samples(
     root call scans ``[1, m]`` at the top level; at most ``n * m`` values)
     are computed once for all of them.  Each run is made only when the
     iterator reaches it, so a caller that keeps only the allocations never
-    holds ``k`` traces.
+    holds ``k`` traces.  A recursion step is fixed by its range, its depth
+    and its SVT outcomes, and a run by its steps, so runs that repeat one
+    share their frozen records, allocation and trace; at most
+    ``_MEMO_CAP`` of each are kept.
     """
     if profile.kind != "additive":
         raise ValueError(_ADDITIVE_ONLY)
     schedule = budget_schedule(profile.m, profile.n, params)
+    # A call on `size` agents: its level b, (epsilon_b, g_b) and group sizes.
+    steps = {}
     roots = ()
     if schedule:
-        _, g_b = schedule[max(schedule)]
-        n_left, n_right = _group_sizes(profile.n)
+        for size in range(2, profile.n + 1):
+            b = math.ceil(math.log2(size))
+            steps[size] = (b, *schedule[b], *_group_sizes(size))
+        _, _, g_b, n_left, n_right = steps[profile.n]
         roots = tuple(
             _cut_queries(profile, agent, 1, profile.m, g_b, n_left, n_right)
             for agent in profile.agents
         )
-    return (_knife_run(profile, schedule, roots, stream) for _ in range(k))
+    memo: dict[tuple, KnifeRecord] = {}
+    runs: dict[tuple, tuple[ConnectedAllocation, KnifeTrace]] = {}
+    return (_knife_run(profile, steps, roots, stream, memo, runs) for _ in range(k))
 
 
 def _group_sizes(size: int) -> tuple[int, int]:
@@ -300,75 +311,102 @@ def _group_sizes(size: int) -> tuple[int, int]:
 
 def _knife_run(
     profile: UtilityProfile,
-    schedule: dict[int, tuple[float, int]],
+    steps: dict[int, tuple[int, float, int, int, int]],
     roots: tuple[np.ndarray, ...],
     stream: RandomStream,
+    memo: dict[tuple, KnifeRecord],
+    runs: dict[tuple, tuple[ConnectedAllocation, KnifeTrace]],
 ) -> tuple[ConnectedAllocation, KnifeTrace]:
+    # The recursion in preorder, left branch first, on an explicit stack.
+    # `memo` maps (agents, lo, hi, depth, SVT outcomes) to the step's record
+    # and `runs` maps a run's step keys to its (allocation, trace).
     spans: list = [None] * profile.n
+    keys: list[tuple] = []
     records: list[KnifeRecord] = []
     leaves: list[tuple[int, int, int]] = []
-
-    def recurse(agents: tuple[int, ...], lo: int, hi: int, depth: int) -> None:
+    if profile.m == 0:
+        leaves = [(agent, 1, 0) for agent in profile.agents]
+        pending = []
+    else:
+        pending = [(tuple(profile.agents), 1, profile.m, 0)]
+    while pending:
+        agents, lo, hi, depth = pending.pop()
         if len(agents) == 1:
             agent = agents[0]
             if hi >= lo:
                 spans[agent - 1] = (lo, hi)
             leaves.append((agent, lo, hi))
-            return
-        b = math.ceil(math.log2(len(agents)))
-        eps_b, g_b = schedule[b]
-        n_left, n_right = _group_sizes(len(agents))
-        hs = []
-        fired = []
-        queries = []
+            continue
+        b, eps_b, g_b, n_left, n_right = steps[len(agents)]
+        outcomes = []
         for agent in agents:
             if depth == 0:
                 cuts = roots[agent - 1]
             else:
                 cuts = _cut_queries(profile, agent, lo, hi, g_b, n_left, n_right)
-            outcome = above_threshold(stream, cuts, tau=g_b / 2.0, epsilon=eps_b)
-            queries.append(outcome.queries_consumed)
-            if outcome.index is None:
-                # Exhaustion is a low-probability noise event; the sentinel
-                # h = hi is where the query provably equals g_b >= tau.
-                hs.append((agent, hi))
-                fired.append(False)
-            else:
-                hs.append((agent, lo + outcome.index))
-                fired.append(True)
-        # Ties in the reported cut positions break by agent index (hs is
-        # already in ascending agent order, so the sort is stable on it).
-        ranked = sorted(hs, key=lambda pair: pair[1])
-        split = ranked[n_left - 1][1]
-        left_agents = tuple(sorted(agent for agent, _ in ranked[:n_left]))
-        right_agents = tuple(sorted(agent for agent, _ in ranked[n_left:]))
-        records.append(
-            KnifeRecord(
-                agents=agents,
-                lo=lo,
-                hi=hi,
-                depth=depth,
-                level=b,
-                epsilon_b=eps_b,
-                g_b=g_b,
-                h_values=tuple(hs),
-                svt_fired=tuple(fired),
-                svt_queries=tuple(queries),
-                split=split,
-                left_agents=left_agents,
-                right_agents=right_agents,
-            )
-        )
-        recurse(left_agents, lo, split, depth + 1)
-        recurse(right_agents, split + 1, hi, depth + 1)
+            outcomes.append(above_threshold(stream, cuts, g_b / 2.0, eps_b))
+        key = (agents, lo, hi, depth, tuple(outcomes))
+        record = memo.get(key)
+        if record is None:
+            record = _record(agents, lo, hi, depth, b, eps_b, g_b, n_left, outcomes)
+            if len(memo) < _MEMO_CAP:
+                memo[key] = record
+        keys.append(key)
+        records.append(record)
+        pending.append((record.right_agents, record.split + 1, hi, depth + 1))
+        pending.append((record.left_agents, lo, record.split, depth + 1))
+    run_key = tuple(keys)
+    run = runs.get(run_key)
+    if run is None:
+        allocation = ConnectedAllocation(spans=tuple(spans))
+        run = allocation, KnifeTrace(records=tuple(records), leaves=tuple(leaves))
+        if len(runs) < _MEMO_CAP:
+            runs[run_key] = run
+    return run
 
-    if profile.m == 0:
-        for agent in profile.agents:
-            leaves.append((agent, 1, 0))
-    else:
-        recurse(tuple(profile.agents), 1, profile.m, 0)
-    allocation = ConnectedAllocation(spans=tuple(spans))
-    return allocation, KnifeTrace(records=tuple(records), leaves=tuple(leaves))
+
+def _record(
+    agents: tuple[int, ...],
+    lo: int,
+    hi: int,
+    depth: int,
+    level: int,
+    epsilon_b: float,
+    g_b: int,
+    n_left: int,
+    outcomes: list[SvtOutcome],
+) -> KnifeRecord:
+    # The recursion step whose agents' SVT runs gave `outcomes`.
+    hs = []
+    fired = []
+    for agent, outcome in zip(agents, outcomes):
+        if outcome.index is None:
+            # Exhaustion is a low-probability noise event; the sentinel
+            # h = hi is where the query provably equals g_b >= tau.
+            hs.append((agent, hi))
+            fired.append(False)
+        else:
+            hs.append((agent, lo + outcome.index))
+            fired.append(True)
+    # Ties in the reported cut positions break by agent index (hs is
+    # already in ascending agent order, so the sort is stable on it).
+    ranked = sorted(hs, key=lambda pair: pair[1])
+    split = ranked[n_left - 1][1]
+    return KnifeRecord(
+        agents=agents,
+        lo=lo,
+        hi=hi,
+        depth=depth,
+        level=level,
+        epsilon_b=epsilon_b,
+        g_b=g_b,
+        h_values=tuple(hs),
+        svt_fired=tuple(fired),
+        svt_queries=tuple(outcome.queries_consumed for outcome in outcomes),
+        split=split,
+        left_agents=tuple(sorted(agent for agent, _ in ranked[:n_left])),
+        right_agents=tuple(sorted(agent for agent, _ in ranked[n_left:])),
+    )
 
 
 def _cut_queries(

@@ -225,8 +225,8 @@ def test_search_agent_level_witness_against_a_constant_mechanism():
     # a mechanism that ignores its input and dumps everything on agent 1
     fixed = ConnectedAllocation(spans=((1, 6), None))
 
-    def constant_mechanism(profile, stream):
-        return fixed
+    def constant_mechanism(profile, stream, k):
+        return [fixed] * k
 
     witness = search_agent_level_witness(
         constant_mechanism,
@@ -244,3 +244,8 @@ def test_search_agent_level_witness_against_a_constant_mechanism():
     # agent 2 gets nothing, so any row valuing something breaks PROP0 for her
     assert witness.agent == 2
     assert witness.violation_rate == 1.0
+    with pytest.raises(ValueError):
+        search_agent_level_witness(
+            constant_mechanism, n=2, m=6, criterion="prop", c=0, runs=0,
+            candidate_rows=1, stream=RandomStream(77),
+        )

@@ -48,6 +48,93 @@ def test_stream_ids_give_distinct_substreams():
     assert sample_laplace(again, 1.0) == sample_laplace(RandomStream(7).child(0), 1.0)
 
 
+class _OneAtATime:
+    """The stream read-ahead must imitate: each uniform drawn alone when read."""
+
+    def __init__(self, seed):
+        self.generator = RandomStream(seed).generator
+        self._restart()
+
+    def _restart(self):
+        self.start = self.generator.bit_generator.state
+        self.drawn = []  # uniforms drawn since `start`
+        self.read = 0  # how many of them were read and not stepped back over
+
+    def uniform(self):
+        if self.read == len(self.drawn):
+            self.drawn.append(self.generator.random())
+        self.read += 1
+        return self.drawn[self.read - 1]
+
+    def step_back(self, count):
+        self.read -= count
+
+    def settled(self):
+        # The generator after exactly the uniforms read, drawn one at a time.
+        if self.read < len(self.drawn):
+            self.generator.bit_generator.state = self.start
+            for _ in range(self.read):
+                self.generator.random()
+        self.drawn = self.drawn[: self.read]
+        return self.generator
+
+
+_STREAM_OPS = st.one_of(
+    st.tuples(st.just("uniform"), st.integers(1, 300)),
+    st.tuples(st.just("uniforms"), st.integers(0, 3000)),
+    st.tuples(st.just("step_back"), st.integers(0, 3000)),
+    st.tuples(st.just("random"), st.integers(0, 50)),
+    st.tuples(st.just("int32"), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_STREAM_OPS, max_size=40), seed=st.integers(min_value=0, max_value=2**32))
+def test_read_ahead_equals_one_at_a_time_draws(ops, seed):
+    # Scalar reads, block reads, step-backs over (part of) the last read, and
+    # direct generator calls, one of which may leave a buffered 32-bit half,
+    # read the values of a twin that draws each uniform alone and leave the
+    # generator in the twin's state.
+    stream, twin = RandomStream(seed), _OneAtATime(seed)
+    last = 0  # uniforms of the last read that may still be stepped back over
+    for op, size in ops:
+        if op == "uniform":
+            for _ in range(size):
+                assert stream.uniform() == twin.uniform()
+            last = 1
+        elif op == "uniforms":
+            block = stream.uniforms(size)
+            assert block.tolist() == [twin.uniform() for _ in range(size)]
+            last = size
+        elif op == "step_back":
+            count = min(size, last)
+            stream.step_back(count)
+            twin.step_back(count)
+            last -= count
+        else:
+            generator, reference = stream.generator, twin.settled()
+            if op == "random":
+                assert generator.random(size).tolist() == reference.random(size).tolist()
+            else:
+                assert generator.integers(0, 10**6, size, dtype=np.int32).tolist() == (
+                    reference.integers(0, 10**6, size, dtype=np.int32).tolist()
+                )
+            twin._restart()
+            last = 0
+    assert stream.generator.bit_generator.state == twin.settled().bit_generator.state
+
+
+def test_step_back_stays_inside_the_buffer():
+    stream = RandomStream(3)
+    with pytest.raises(ValueError):
+        stream.step_back(1)
+    first = stream.uniforms(5).tolist()
+    stream.step_back(5)
+    assert stream.uniforms(5).tolist() == first
+    with pytest.raises(ValueError):
+        stream.step_back(6)
+
+
 # ---------------------------------------------------------------------------
 # Laplace sampler
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import math
+import tracemalloc
+from collections import Counter, deque
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -417,15 +420,46 @@ def test_allocator_reads_each_row_only_inside_its_own_branch(monkeypatch, rng):
     assert reads > 0
 
 
+def _assert_samples_equal_sequential_calls(p, params, seed, k):
+    # Equal runs, and the generator left in one state, with and without a
+    # buffered 32-bit half drawn first.  Returns the sampled runs' records.
+    records = []
+    for buffered in (False, True):
+        stream, twin = RandomStream(seed), RandomStream(seed)
+        if buffered:
+            for s in (stream, twin):
+                s.generator.integers(0, 1000, dtype=np.int32)
+        sequential = [dp_moving_knife(p, params, stream) for _ in range(k)]
+        sampled = list(knife_samples(p, params, twin, k))
+        assert sampled == sequential
+        assert twin.generator.bit_generator.state == stream.generator.bit_generator.state
+        records.extend(record for _, trace in sampled for record in trace.records)
+    return records
+
+
 @pytest.mark.parametrize("epsilon", [0.5, 2.0, 8.0, 50.0])
 def test_knife_samples_equal_sequential_allocator_calls(rng, epsilon):
     for case, svt_constant in enumerate((0.02, 0.1, 1.0, 16.0)):
         params = PrivacyParams(epsilon=epsilon, beta=0.1, svt_constant=svt_constant)
         n, m = int(rng.integers(2, 7)), int(rng.integers(0, 40))
         p = random_additive_profile(rng, n, m, max_value=int(rng.choice([1, 4, 50, 10**6])))
-        stream = RandomStream(case)
-        sequential = [dp_moving_knife(p, params, stream) for _ in range(30)]
-        assert list(knife_samples(p, params, RandomStream(case), 30)) == sequential
+        _assert_samples_equal_sequential_calls(p, params, case, 30)
+    # At n = 5-7 the recursion is three levels deep, so memoized records
+    # below the root are shared between runs.  At n = 11 and m = 2 a half
+    # often gets no items, and at epsilon <= 2 one group of agents then meets
+    # one empty range with equal outcomes at two depths within these 30 runs.
+    cases = [
+        (random_additive_profile(rng, n, m, max_value=4), svt_constant)
+        for n, m, svt_constant in ((5, 20, 0.02), (6, 30, 0.1), (7, 39, 1.0))
+    ]
+    cases.append((UtilityProfile.additive([[1, 1]] * 11), 0.02))
+    shared_depths = set()
+    for p, svt_constant in cases:
+        params = PrivacyParams(epsilon=epsilon, beta=0.1, svt_constant=svt_constant)
+        records = _assert_samples_equal_sequential_calls(p, params, 7, 30)
+        uses = Counter(id(record) for record in records)  # `records` keeps each id alive
+        shared_depths.update(record.depth for record in records if uses[id(record)] > 1)
+    assert max(shared_depths) >= 2
 
 
 def test_knife_samples_build_each_agents_root_cut_values_once(monkeypatch, rng):
@@ -443,6 +477,34 @@ def test_knife_samples_build_each_agents_root_cut_values_once(monkeypatch, rng):
     runs = list(knife_samples(p, params, RandomStream(5), 200))
     assert len(runs) == 200
     assert builds == [(1, 1, 12), (2, 1, 12)]
+
+
+def test_knife_memos_hold_memory_to_their_cap_not_to_the_run_count(monkeypatch):
+    # At n = 4, m = 400 and svt_constant 0.1 nearly every run's SVT outcomes
+    # are new, so memos without a cap would hold a trace for every run.
+    p = bernoulli_profile(4, 400, RandomStream(3))
+    params = PrivacyParams(epsilon=2.0, beta=0.1, svt_constant=0.1)
+    k, cap = 256, 16
+    assert len({hash(trace) for _, trace in knife_samples(p, params, RandomStream(3), k)}) > 240
+
+    def memory(memo_cap):
+        # Memory held after 2 * cap runs (both memos are full by then) and
+        # the peak over the remaining runs.
+        monkeypatch.setattr(prop_knife, "_MEMO_CAP", memo_cap)
+        runs = knife_samples(p, params, RandomStream(3), k)
+        tracemalloc.start()
+        try:
+            deque(islice(runs, 2 * cap), maxlen=0)
+            held, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            deque(runs, maxlen=0)
+            return held, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    held, peak = memory(cap)
+    held_uncapped, peak_uncapped = memory(10**9)
+    assert peak - held < (peak_uncapped - held_uncapped) / 3
 
 
 def test_papers_regime_at_n8_m100000():
