@@ -26,8 +26,17 @@ _ADDITIVE_ONLY = "the moving-knife allocator requires additive utilities"
 # and holds at most _SEARCH_CHUNK values of c at a time.
 _FAN_OUT = 4
 _SEARCH_CHUNK = 8192
-# knife_samples keeps at most this many recursion steps and as many runs.
+# A step's cut values are built for at most max(1, _GROUP_ITEMS // L) of its
+# agents' L-item rows at once, on one wavelet.  A group saves numpy's
+# per-call cost, which dominates on short rows; past ~2**14 items its
+# wavelet levels and probes outgrow the cache, and it builds slower than its
+# rows one by one.
+_GROUP_ITEMS = 2**14
+# knife_samples keeps at most this many recursion steps, as many runs and
+# as many steps' cut values; those past the root's while they cost at most
+# _MEMO_VALUES (one per value, plus one per agent's array).
 _MEMO_CAP = 256
+_MEMO_VALUES = 2**18
 
 
 @dataclass(frozen=True)
@@ -182,40 +191,46 @@ class _Wavelet:
         return total + k * self.leaves[np.minimum(bounds[0], len(self.leaves) - 1)]
 
 
-def _breakpoints(row: Sequence[int], g_b: int, n_left: int, n_right: int) -> np.ndarray:
-    # Ascending offsets H(c) - lo of the least cut with f >= c, for c from
-    # max(1, g_b - size + 2) to g_b; every smaller c has H(c) = lo.  t = c is
-    # rejected at no cut past H(c).
-    size = len(row)
+def _breakpoints(
+    rows: Sequence[Sequence[int]], g_b: int, n_left: int, n_right: int
+) -> np.ndarray:
+    # Row a: ascending offsets H(c) - lo of the least cut with f >= c on
+    # rows[a], for c from max(1, g_b - size + 2) to g_b; every smaller c has
+    # H(c) = lo.  t = c is rejected at no cut past H(c).
+    size = len(rows[0])
     # At j = 0 the right piece keeps max(size - 1 - g_b + c, 0) items, none
     # for c <= g_b - size + 1; at j = size - 1 - g_b + c it keeps none for c.
     c = np.arange(max(1, g_b - size + 2), g_b + 1)
     if not len(c):
-        return c
-    # Sums stay below 2**62 after weighting, or the row is kept as Python ints.
-    fits = max(row) * size * max(n_left, n_right) < 2**62
-    values = np.array(row, dtype=np.int64 if fits else object)
+        return np.zeros((len(rows), 0), dtype=np.int64)
+    # The wavelet's prefix sums run over all rows laid end to end.  They stay
+    # below 2**62 after weighting, or the rows are kept as Python ints.
+    fits = max(map(max, rows)) * len(rows) * size * max(n_left, n_right) < 2**62
+    values = np.array(rows, dtype=np.int64 if fits else object)
     # While j < g_b + c the left piece keeps nothing, so t = c is accepted
     # exactly when the right piece [j + 1, size) holds at most g_b - c
     # positive items; that count falls as j grows.
-    positives = np.append(np.cumsum(values[:0:-1] > 0)[::-1], 0)
-    first = np.searchsorted(-positives, c - g_b)
+    positives = np.zeros(values.shape, dtype=np.int64)
+    positives[:, :-1] = np.cumsum(values[:, :0:-1] > 0, axis=1)[:, ::-1]
+    first = np.array([np.searchsorted(-row, c - g_b) for row in positives])
     early = first < g_b + c
     below = np.where(early, first, g_b + c)
     above = np.where(early, first, size - 1 - g_b + c)
-    live = np.flatnonzero(below < above)
-    if len(live):
-        wavelet = _Wavelet(values)
-        for part in range(0, len(live), _SEARCH_CHUNK):
-            chunk = live[part : part + _SEARCH_CHUNK]
-            below[chunk] = _bisect(
-                wavelet, c[chunk], below[chunk], above[chunk], g_b, n_left, n_right
+    row, col = np.nonzero(below < above)
+    if len(row):
+        wavelet = _Wavelet(values.ravel())
+        for part in range(0, len(row), _SEARCH_CHUNK):
+            r, k = row[part : part + _SEARCH_CHUNK], col[part : part + _SEARCH_CHUNK]
+            below[r, k] = _bisect(
+                wavelet, r * size, size, c[k], below[r, k], above[r, k], g_b, n_left, n_right
             )
     return below
 
 
 def _bisect(
     wavelet: _Wavelet,
+    offset: np.ndarray,
+    size: int,
     c: np.ndarray,
     below: np.ndarray,
     above: np.ndarray,
@@ -223,30 +238,37 @@ def _bisect(
     n_left: int,
     n_right: int,
 ) -> np.ndarray:
-    # Fan-out bisection for every c at once: H(c) - lo lies in
-    # [below, above], and t = c is accepted at above.
-    size = len(wavelet.leaves)
-    c = c[:, None]  # one row of probes per c
+    # Fan-out bisection for every entry at once: H(c) - lo lies in
+    # [below, above], and t = c is accepted at above.  An entry's row is
+    # [offset, offset + size) of the wavelet, so no probe leaves it.
+    probes = _FAN_OUT - 1
     fan = np.arange(1, _FAN_OUT)
+    n = len(c) * probes
+    # The left piece of a probe is [start, start + split) and keeps
+    # split - g_b - c items; the right one is [start + split, start + size)
+    # and keeps size - g_b + c - split.
+    bounds = np.empty((2, 2 * n), dtype=np.int64)
+    start = bounds[0, :n]
+    start[:] = np.repeat(offset, probes)
+    np.add(start, size, out=bounds[1, n:])
+    left_kept = np.repeat(-g_b - c, probes)
+    right_kept = np.repeat(size - g_b + c, probes)
+    kept = np.empty(2 * n, dtype=np.int64)
     while (below < above).any():
         width = above - below
-        cuts = below[:, None] + width[:, None] * fan // _FAN_OUT
-        # The left piece is [0, split) and the right one [split, size).
-        split = (cuts + 1).ravel()
-        n = len(split)
-        bounds = np.stack([
-            np.concatenate([np.zeros_like(split), split]),
-            np.concatenate([split, np.full_like(split, size)]),
-        ])
-        kept = np.concatenate([(cuts + 1 - g_b - c).ravel(), (size - 1 - g_b + c - cuts).ravel()])
-        sums = wavelet.smallest(bounds, np.maximum(kept, 0))
+        split = (below[:, None] + width[:, None] * fan // _FAN_OUT + 1).ravel()
+        np.add(start, split, out=bounds[1, :n])
+        bounds[0, n:] = bounds[1, :n]
+        np.add(split, left_kept, out=kept[:n])
+        np.subtract(right_kept, split, out=kept[n:])
+        sums = wavelet.smallest(bounds, np.maximum(kept, 0, out=kept))
         rejected = n_right * sums[:n] < n_left * sums[n:]
         # Acceptance is monotone in j, so the first r probes are rejected:
         # keep the gap between probe r - 1 and probe r.
-        r = rejected.reshape(cuts.shape).sum(axis=1)
+        r = rejected.reshape(-1, probes).sum(axis=1)
         below, above = (
             np.where(r > 0, below + width * r // _FAN_OUT + 1, below),
-            np.where(r < _FAN_OUT - 1, below + width * (r + 1) // _FAN_OUT, above),
+            np.where(r < probes, below + width * (r + 1) // _FAN_OUT, above),
         )
     return below
 
@@ -275,33 +297,29 @@ def knife_samples(
 ) -> Iterator[tuple[ConnectedAllocation, KnifeTrace]]:
     """``k`` runs of :func:`dp_moving_knife` in turn on one stream, lazily.
 
-    The budget schedule and each agent's root-call cut values (every run's
-    root call scans ``[1, m]`` at the top level; at most ``n * m`` values)
-    are computed once for all of them.  Each run is made only when the
-    iterator reaches it, so a caller that keeps only the allocations never
-    holds ``k`` traces.  A recursion step is fixed by its range, its depth
-    and its SVT outcomes, and a run by its steps, so runs that repeat one
-    share their frozen records, allocation and trace; at most
-    ``_MEMO_CAP`` of each are kept.
+    The budget schedule and the root call's cut values (every run's root
+    call scans ``[1, m]`` at the top level; ``n * m`` values) are computed
+    once for all of them, and any other step's cut values once per agents
+    and range while they fit in ``_MEMO_VALUES``.  Each run is made only
+    when the iterator reaches it, so a caller that keeps only the
+    allocations never holds ``k`` traces.  A recursion step is fixed by its
+    range, its depth and its SVT outcomes, and a run by its steps, so runs
+    that repeat one share their frozen records, allocation and trace; at
+    most ``_MEMO_CAP`` of each are kept.
     """
     if profile.kind != "additive":
         raise ValueError(_ADDITIVE_ONLY)
     schedule = budget_schedule(profile.m, profile.n, params)
     # A call on `size` agents: its level b, (epsilon_b, g_b) and group sizes.
     steps = {}
-    roots = ()
     if schedule:
         for size in range(2, profile.n + 1):
             b = math.ceil(math.log2(size))
             steps[size] = (b, *schedule[b], *_group_sizes(size))
-        _, _, g_b, n_left, n_right = steps[profile.n]
-        roots = tuple(
-            _cut_queries(profile, agent, 1, profile.m, g_b, n_left, n_right)
-            for agent in profile.agents
-        )
+    cut_values = _StepCuts(profile, steps)
     memo: dict[tuple, KnifeRecord] = {}
     runs: dict[tuple, tuple[ConnectedAllocation, KnifeTrace]] = {}
-    return (_knife_run(profile, steps, roots, stream, memo, runs) for _ in range(k))
+    return (_knife_run(profile, steps, cut_values, stream, memo, runs) for _ in range(k))
 
 
 def _group_sizes(size: int) -> tuple[int, int]:
@@ -309,10 +327,49 @@ def _group_sizes(size: int) -> tuple[int, int]:
     return size - size // 2, size // 2
 
 
+class _StepCuts:
+    """Each agent's cut values at the recursion steps of one ``knife_samples`` call.
+
+    A step's level, and so its g_b and group sizes, follows from its number
+    of agents, so its cut values depend on its agents and range alone.  The
+    root's are built up front and always kept; another step's are kept
+    while the memo holds fewer than ``_MEMO_CAP`` steps and all kept
+    values, plus one per agent's array, stay within ``_MEMO_VALUES``.
+    """
+
+    def __init__(self, profile: UtilityProfile, steps: dict[int, tuple[int, float, int, int, int]]):
+        self.profile = profile
+        self.steps = steps
+        self.memo: dict[tuple, list[np.ndarray]] = {}
+        self.room = _MEMO_VALUES
+        if steps:
+            root = (tuple(profile.agents), 1, profile.m)
+            self.room -= self._cost(*root)
+            self.memo[root] = self._build(*root)
+
+    def __call__(self, agents: tuple[int, ...], lo: int, hi: int) -> list[np.ndarray]:
+        cuts = self.memo.get((agents, lo, hi))
+        if cuts is None:
+            cuts = self._build(agents, lo, hi)
+            cost = self._cost(agents, lo, hi)
+            if cost <= self.room and len(self.memo) < _MEMO_CAP:
+                self.memo[agents, lo, hi] = cuts
+                self.room -= cost
+        return cuts
+
+    def _build(self, agents: tuple[int, ...], lo: int, hi: int) -> list[np.ndarray]:
+        _, _, g_b, n_left, n_right = self.steps[len(agents)]
+        return _cut_queries(self.profile, agents, lo, hi, g_b, n_left, n_right)
+
+    @staticmethod
+    def _cost(agents: tuple[int, ...], lo: int, hi: int) -> int:
+        return len(agents) * (max(hi - lo + 1, 0) + 1)
+
+
 def _knife_run(
     profile: UtilityProfile,
     steps: dict[int, tuple[int, float, int, int, int]],
-    roots: tuple[np.ndarray, ...],
+    cut_values: _StepCuts,
     stream: RandomStream,
     memo: dict[tuple, KnifeRecord],
     runs: dict[tuple, tuple[ConnectedAllocation, KnifeTrace]],
@@ -337,14 +394,10 @@ def _knife_run(
                 spans[agent - 1] = (lo, hi)
             leaves.append((agent, lo, hi))
             continue
-        b, eps_b, g_b, n_left, n_right = steps[len(agents)]
-        outcomes = []
-        for agent in agents:
-            if depth == 0:
-                cuts = roots[agent - 1]
-            else:
-                cuts = _cut_queries(profile, agent, lo, hi, g_b, n_left, n_right)
-            outcomes.append(above_threshold(stream, cuts, g_b / 2.0, eps_b))
+        b, eps_b, g_b, n_left, _ = steps[len(agents)]
+        outcomes = [
+            above_threshold(stream, cuts, g_b / 2.0, eps_b) for cuts in cut_values(agents, lo, hi)
+        ]
         key = (agents, lo, hi, depth, tuple(outcomes))
         record = memo.get(key)
         if record is None:
@@ -411,21 +464,28 @@ def _record(
 
 def _cut_queries(
     profile: UtilityProfile,
-    agent: int,
+    agents: tuple[int, ...],
     lo: int,
     hi: int,
     g_b: int,
     n_left: int,
     n_right: int,
-) -> np.ndarray:
-    # f_value at h = lo..hi: the number of c in [1, g_b] whose breakpoint
-    # H(c) is at most h.  hi < lo gives no queries.
+) -> list[np.ndarray]:
+    # Each agent's f_value at h = lo..hi: the number of c in [1, g_b] whose
+    # breakpoint H(c) is at most h.  hi < lo gives no queries.
     if hi < lo:
-        return np.zeros(0, dtype=np.int64)
-    row = profile.values[agent - 1][lo - 1 : hi]
-    breakpoints = _breakpoints(row, g_b, n_left, n_right)
-    unsearched = g_b - len(breakpoints)  # the c below the searched ones: H(c) = lo
-    return unsearched + np.searchsorted(breakpoints, np.arange(len(row)), side="right")
+        return [np.zeros(0, dtype=np.int64) for _ in agents]
+    size = hi - lo + 1
+    group = max(1, _GROUP_ITEMS // size)
+    cuts = []
+    for start in range(0, len(agents), group):
+        rows = [profile.values[agent - 1][lo - 1 : hi] for agent in agents[start : start + group]]
+        breakpoints = _breakpoints(rows, g_b, n_left, n_right)
+        unsearched = g_b - breakpoints.shape[1]  # the c below the searched ones: H(c) = lo
+        cuts.extend(
+            unsearched + np.searchsorted(row, np.arange(size), side="right") for row in breakpoints
+        )
+    return cuts
 
 
 def proof_chain_c(m: int, n: int, params: PrivacyParams) -> int:

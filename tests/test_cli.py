@@ -1,11 +1,13 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import dpfair
 from dpfair import cli
 from dpfair.core import PrivacyParams, min_ef_c
 from dpfair.ef_em import dp_ef_allocate, scoring_truncation_budget
@@ -594,12 +596,16 @@ def test_reports_replay_byte_identically(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # The child imports the same dpfair as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dpfair.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = tmp_path / "i.json"
     result = subprocess.run(
         [sys.executable, "-m", "dpfair", "gen", "all-zero", "--n", "2", "--m", "2",
          "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert json.loads(out.read_text())["values"] == [[0, 0], [0, 0]]

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from collections import Counter, deque
@@ -150,7 +151,8 @@ def test_scan_matches_per_position_f_value(rng):
         starts_inside += h0 > lo
         n_left, n_right = (int(v) for v in rng.choice([1, 2, 3, 5], size=2, replace=False))
         for g_b in (1, 2, 3, 7, hi - lo + 2):  # the last exceeds the range
-            scan = list(prop_knife._cut_queries(p, 2, lo, hi, g_b, n_left, n_right)[h0 - lo :])
+            (cuts,) = prop_knife._cut_queries(p, (2,), lo, hi, g_b, n_left, n_right)
+            scan = list(cuts[h0 - lo :])
             per_position = [
                 f_value(p, 2, lo, hi, h, g_b, n_left, n_right) for h in range(h0, hi + 1)
             ]
@@ -174,7 +176,8 @@ def test_scan_stays_exact_past_int64(rng):
         n_left, n_right = (int(v) for v in rng.choice([1, 2, 3], size=2))
         for g_b in (1, 2, 5, hi - lo + 2):
             expected = [sorted_f(row, lo, hi, h, g_b, n_left, n_right) for h in range(lo, hi + 1)]
-            assert list(prop_knife._cut_queries(p, 1, lo, hi, g_b, n_left, n_right)) == expected
+            (cuts,) = prop_knife._cut_queries(p, (1,), lo, hi, g_b, n_left, n_right)
+            assert list(cuts) == expected
             assert [
                 f_value(p, 1, lo, hi, h, g_b, n_left, n_right) for h in range(lo, hi + 1)
             ] == expected
@@ -182,7 +185,7 @@ def test_scan_stays_exact_past_int64(rng):
 
 def test_cut_queries_of_an_empty_range_are_empty():
     p = UtilityProfile.additive([[1, 2, 3]])
-    assert list(prop_knife._cut_queries(p, 1, 3, 2, 8, 1, 1)) == []
+    assert [list(cuts) for cuts in prop_knife._cut_queries(p, (1,), 3, 2, 8, 1, 1)] == [[]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -203,7 +206,8 @@ def test_f_value_nondecreasing_in_h(size, n_left, n_right, data):
     values = [f_value(p, 1, lo, hi, h, g_b, n_left, n_right) for h in range(lo, hi + 1)]
     assert values == sorted(values)
     # The allocator counts breakpoints, which describe f only because of this order.
-    assert list(prop_knife._cut_queries(p, 1, lo, hi, g_b, n_left, n_right)) == values
+    (cuts,) = prop_knife._cut_queries(p, (1,), lo, hi, g_b, n_left, n_right)
+    assert list(cuts) == values
 
 
 def test_f_value_rejects_general_kind():
@@ -389,33 +393,30 @@ def test_f_value_reads_only_the_queried_agents_row(rng):
 
 
 def test_allocator_reads_each_row_only_inside_its_own_branch(monkeypatch, rng):
-    # A range's cut values are built in one call that reads the row before it
-    # returns, so every read belongs to the build that started last.
+    # A step's cut values are built in one call that reads its agents' rows
+    # before it returns, so every read belongs to the build that started last.
     log = []
     original = prop_knife._cut_queries
 
-    def marked(profile, agent, lo, hi, *rest):
-        log.append(("scan", agent, lo, hi))
-        return original(profile, agent, lo, hi, *rest)
+    def marked(profile, agents, lo, hi, *rest):
+        log.append(("scan", agents, lo, hi))
+        return original(profile, agents, lo, hi, *rest)
 
     monkeypatch.setattr(prop_knife, "_cut_queries", marked)
     p = random_additive_profile(rng, n=4, m=9)
     _, trace = dp_moving_knife(_SpyProfile(p, log), PrivacyParams(epsilon=2.0), RandomStream(3))
-    ranges = {}
-    for record in trace.records:
-        ranges.setdefault((record.lo, record.hi), set()).update(record.agents)
+    steps = {(record.agents, record.lo, record.hi) for record in trace.records}
     scan = None
     reads = 0
     for entry in log:
         if entry[0] == "scan":
             scan = entry
-            _, agent, lo, hi = scan
-            assert agent in ranges[(lo, hi)]
+            assert scan[1:] in steps
             continue
         assert scan is not None
-        _, agent, lo, hi = scan
+        _, agents, lo, hi = scan
         row, position = entry
-        assert row == agent - 1 and lo <= position + 1 <= hi
+        assert row + 1 in agents and lo <= position + 1 <= hi
         reads += 1
     assert reads > 0
 
@@ -462,21 +463,67 @@ def test_knife_samples_equal_sequential_allocator_calls(rng, epsilon):
     assert max(shared_depths) >= 2
 
 
-def test_knife_samples_build_each_agents_root_cut_values_once(monkeypatch, rng):
-    # At n = 2 every query is at the root, whose range and level never change.
+def _counted_builds(monkeypatch):
+    # Logs (agents, lo, hi) for every cut-value build.
     builds = []
     original = prop_knife._cut_queries
 
-    def counted(profile, agent, lo, hi, *rest):
-        builds.append((agent, lo, hi))
-        return original(profile, agent, lo, hi, *rest)
+    def counted(profile, agents, lo, hi, *rest):
+        builds.append((agents, lo, hi))
+        return original(profile, agents, lo, hi, *rest)
 
     monkeypatch.setattr(prop_knife, "_cut_queries", counted)
+    return builds
+
+
+def test_knife_samples_build_each_agents_root_cut_values_once(monkeypatch, rng):
+    # At n = 2 every query is at the root, whose range and level never change.
+    builds = _counted_builds(monkeypatch)
     p = random_additive_profile(rng, n=2, m=12)
     params = PrivacyParams(epsilon=2.0, svt_constant=0.1)
     runs = list(knife_samples(p, params, RandomStream(5), 200))
     assert len(runs) == 200
-    assert builds == [(1, 1, 12), (2, 1, 12)]
+    assert builds == [((1, 2), 1, 12)]
+
+
+def test_knife_samples_build_each_steps_cut_values_once(monkeypatch, rng):
+    # At n = 3 every run has a step below the root, on a range that the
+    # root's noisy cut moves from run to run.
+    builds = _counted_builds(monkeypatch)
+    p = random_additive_profile(rng, n=3, m=8, max_value=4)
+    params = PrivacyParams(epsilon=2.0, svt_constant=0.1)
+    runs = list(knife_samples(p, params, RandomStream(5), 2000))
+    steps = {(r.agents, r.lo, r.hi) for _, trace in runs for r in trace.records}
+    assert len(steps) > 10
+    assert sorted(builds) == sorted(steps)
+
+
+def test_knife_cut_value_memo_holds_memory_to_its_budget(monkeypatch):
+    # At n = 3, m = 400, epsilon 2 and svt_constant 1 the root's cut moves
+    # in most runs, so most runs build cut values on a new ~150-item range.
+    p = bernoulli_profile(3, 400, RandomStream(3))
+    params = PrivacyParams(epsilon=2.0, beta=0.1, svt_constant=1.0)
+    source, first = inspect.getsourcelines(prop_knife._cut_queries)
+
+    def built(frame):
+        return frame.filename == prop_knife.__file__ and first <= frame.lineno < first + len(source)
+
+    def held(budget, runs):
+        # Bytes allocated inside _cut_queries after the root's and still
+        # alive after `runs` runs; the iterator is not exhausted, so it still
+        # holds its memo.
+        monkeypatch.setattr(prop_knife, "_MEMO_VALUES", budget)
+        samples = knife_samples(p, params, RandomStream(3), runs + 1)
+        tracemalloc.start()
+        try:
+            deque(islice(samples, runs), maxlen=0)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        return sum(trace.size for trace in snapshot.traces if built(trace.traceback[0]))
+
+    assert held(10**9, 160) > 2 * held(10**9, 40)
+    assert held(4000, 160) == held(4000, 40) > 0
 
 
 def test_knife_memos_hold_memory_to_their_cap_not_to_the_run_count(monkeypatch):
@@ -568,8 +615,40 @@ def test_breakpoint_scan_matches_freshly_sorted_pieces(size, distinct, n_left, n
     h0 = data.draw(st.integers(min_value=lo, max_value=hi))
     # Small g_b keeps most of the left piece, so its sums span many items.
     g_b = data.draw(st.integers(min_value=1, max_value=3) | st.integers(min_value=1, max_value=span + 2))
-    assert list(prop_knife._cut_queries(p, 1, lo, hi, g_b, n_left, n_right)[h0 - lo :]) == [
+    (cuts,) = prop_knife._cut_queries(p, (1,), lo, hi, g_b, n_left, n_right)
+    assert list(cuts[h0 - lo :]) == [
         sorted_f(row, lo, hi, h, g_b, n_left, n_right) for h in range(h0, hi + 1)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    size=st.integers(min_value=1, max_value=30),
+    group_items=st.integers(min_value=1, max_value=60),
+    n_left=st.integers(min_value=1, max_value=4),
+    n_right=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_grouped_cut_queries_equal_each_agents_f_value(n, size, group_items, n_left, n_right, data):
+    # A small _GROUP_ITEMS splits a step's agents into groups of any size,
+    # and rows near 2**70 put int64 rows into object-dtype groups.
+    def row():
+        wide = data.draw(st.booleans())
+        items = st.integers(min_value=0, max_value=4).map(lambda v: 2**70 + v if wide and v else v)
+        return data.draw(st.lists(items, min_size=size, max_size=size))
+
+    p = UtilityProfile.additive([row() for _ in range(n)])
+    lo = data.draw(st.integers(min_value=1, max_value=size))
+    hi = data.draw(st.integers(min_value=lo, max_value=size))
+    agents = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1))))
+    g_b = data.draw(st.integers(min_value=1, max_value=3) | st.integers(min_value=1, max_value=hi - lo + 3))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prop_knife, "_GROUP_ITEMS", group_items)
+        cuts = prop_knife._cut_queries(p, agents, lo, hi, g_b, n_left, n_right)
+    assert [list(values) for values in cuts] == [
+        [f_value(p, agent, lo, hi, h, g_b, n_left, n_right) for h in range(lo, hi + 1)]
+        for agent in agents
     ]
 
 
@@ -583,5 +662,6 @@ def test_breakpoints_on_a_row_of_many_distinct_values(g_b):
     p = UtilityProfile.additive([row])
     lo, hi = 1, 1000
     expected = [f_value(p, 1, lo, hi, h, g_b, 3, 2) for h in range(lo, hi + 1)]
-    assert list(prop_knife._cut_queries(p, 1, lo, hi, g_b, 3, 2)) == expected
+    (cuts,) = prop_knife._cut_queries(p, (1,), lo, hi, g_b, 3, 2)
+    assert list(cuts) == expected
     assert len(set(expected)) > 10
