@@ -17,7 +17,7 @@ Two utility kinds are supported:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -145,9 +145,6 @@ class ConnectedAllocation:
     """
 
     spans: tuple[Optional[tuple[int, int]], ...]
-    # The dataclass hash of ``spans``, computed on first use: sampled audits
-    # count thousands of allocations by hashing them.
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nonempty = []
@@ -164,17 +161,6 @@ class ConnectedAllocation:
             if start != cursor:
                 raise ValueError("spans must tile [1, m] without gaps or overlaps")
             cursor = end + 1
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.spans,)))
-            return self._hash
-
-    def __reduce__(self):
-        # hash(None) differs between processes, so a copy recomputes it.
-        return ConnectedAllocation, (self.spans,)
 
     @property
     def n(self) -> int:

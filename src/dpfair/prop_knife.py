@@ -26,17 +26,17 @@ _ADDITIVE_ONLY = "the moving-knife allocator requires additive utilities"
 # and holds at most _SEARCH_CHUNK values of c at a time.
 _FAN_OUT = 4
 _SEARCH_CHUNK = 8192
-# A step's cut values are built for at most max(1, _GROUP_ITEMS // L) of its
-# agents' L-item rows at once, on one wavelet.  A group saves numpy's
-# per-call cost, which dominates on short rows; past ~2**14 items its
-# wavelet levels and probes outgrow the cache, and it builds slower than its
-# rows one by one.
+# A step's cut values are built for a group of its agents at once, on one
+# wavelet over their L-item rows and one search for the values of c of all
+# of them (min(g_b, L - 1) per row).  A group saves numpy's per-call cost,
+# which dominates where each row searches few values of c; a larger one
+# only makes larger temporaries and a deeper wavelet.  So a group holds at
+# most _GROUP_ITEMS items and searches at most _GROUP_SEARCH values of c,
+# or it is one agent.
 _GROUP_ITEMS = 2**14
-# knife_samples keeps at most this many recursion steps, as many runs and
-# as many steps' cut values; those past the root's while they cost at most
-# _MEMO_VALUES (one per value, plus one per agent's array).
+_GROUP_SEARCH = 2**10
+# knife_samples keeps at most this many recursion steps and as many runs.
 _MEMO_CAP = 256
-_MEMO_VALUES = 2**18
 
 
 @dataclass(frozen=True)
@@ -299,27 +299,28 @@ def knife_samples(
 
     The budget schedule and the root call's cut values (every run's root
     call scans ``[1, m]`` at the top level; ``n * m`` values) are computed
-    once for all of them, and any other step's cut values once per agents
-    and range while they fit in ``_MEMO_VALUES``.  Each run is made only
-    when the iterator reaches it, so a caller that keeps only the
-    allocations never holds ``k`` traces.  A recursion step is fixed by its
-    range, its depth and its SVT outcomes, and a run by its steps, so runs
-    that repeat one share their frozen records, allocation and trace; at
-    most ``_MEMO_CAP`` of each are kept.
+    once for all of them.  Each run is made only when the iterator reaches
+    it, so a caller that keeps only the allocations never holds ``k``
+    traces.  A recursion step is fixed by its range, its depth and its SVT
+    outcomes, and a run by its steps, so runs that repeat one share their
+    frozen records, allocation and trace; at most ``_MEMO_CAP`` of each are
+    kept.
     """
     if profile.kind != "additive":
         raise ValueError(_ADDITIVE_ONLY)
     schedule = budget_schedule(profile.m, profile.n, params)
     # A call on `size` agents: its level b, (epsilon_b, g_b) and group sizes.
     steps = {}
+    roots: list[np.ndarray] = []
     if schedule:
         for size in range(2, profile.n + 1):
             b = math.ceil(math.log2(size))
             steps[size] = (b, *schedule[b], *_group_sizes(size))
-    cut_values = _StepCuts(profile, steps)
+        _, _, g_b, n_left, n_right = steps[profile.n]
+        roots = _cut_queries(profile, tuple(profile.agents), 1, profile.m, g_b, n_left, n_right)
     memo: dict[tuple, KnifeRecord] = {}
     runs: dict[tuple, tuple[ConnectedAllocation, KnifeTrace]] = {}
-    return (_knife_run(profile, steps, cut_values, stream, memo, runs) for _ in range(k))
+    return (_knife_run(profile, steps, roots, stream, memo, runs) for _ in range(k))
 
 
 def _group_sizes(size: int) -> tuple[int, int]:
@@ -327,49 +328,10 @@ def _group_sizes(size: int) -> tuple[int, int]:
     return size - size // 2, size // 2
 
 
-class _StepCuts:
-    """Each agent's cut values at the recursion steps of one ``knife_samples`` call.
-
-    A step's level, and so its g_b and group sizes, follows from its number
-    of agents, so its cut values depend on its agents and range alone.  The
-    root's are built up front and always kept; another step's are kept
-    while the memo holds fewer than ``_MEMO_CAP`` steps and all kept
-    values, plus one per agent's array, stay within ``_MEMO_VALUES``.
-    """
-
-    def __init__(self, profile: UtilityProfile, steps: dict[int, tuple[int, float, int, int, int]]):
-        self.profile = profile
-        self.steps = steps
-        self.memo: dict[tuple, list[np.ndarray]] = {}
-        self.room = _MEMO_VALUES
-        if steps:
-            root = (tuple(profile.agents), 1, profile.m)
-            self.room -= self._cost(*root)
-            self.memo[root] = self._build(*root)
-
-    def __call__(self, agents: tuple[int, ...], lo: int, hi: int) -> list[np.ndarray]:
-        cuts = self.memo.get((agents, lo, hi))
-        if cuts is None:
-            cuts = self._build(agents, lo, hi)
-            cost = self._cost(agents, lo, hi)
-            if cost <= self.room and len(self.memo) < _MEMO_CAP:
-                self.memo[agents, lo, hi] = cuts
-                self.room -= cost
-        return cuts
-
-    def _build(self, agents: tuple[int, ...], lo: int, hi: int) -> list[np.ndarray]:
-        _, _, g_b, n_left, n_right = self.steps[len(agents)]
-        return _cut_queries(self.profile, agents, lo, hi, g_b, n_left, n_right)
-
-    @staticmethod
-    def _cost(agents: tuple[int, ...], lo: int, hi: int) -> int:
-        return len(agents) * (max(hi - lo + 1, 0) + 1)
-
-
 def _knife_run(
     profile: UtilityProfile,
     steps: dict[int, tuple[int, float, int, int, int]],
-    cut_values: _StepCuts,
+    roots: list[np.ndarray],
     stream: RandomStream,
     memo: dict[tuple, KnifeRecord],
     runs: dict[tuple, tuple[ConnectedAllocation, KnifeTrace]],
@@ -394,10 +356,12 @@ def _knife_run(
                 spans[agent - 1] = (lo, hi)
             leaves.append((agent, lo, hi))
             continue
-        b, eps_b, g_b, n_left, _ = steps[len(agents)]
-        outcomes = [
-            above_threshold(stream, cuts, g_b / 2.0, eps_b) for cuts in cut_values(agents, lo, hi)
-        ]
+        b, eps_b, g_b, n_left, n_right = steps[len(agents)]
+        if depth == 0:
+            cuts = roots
+        else:
+            cuts = _cut_queries(profile, agents, lo, hi, g_b, n_left, n_right)
+        outcomes = [above_threshold(stream, q, g_b / 2.0, eps_b) for q in cuts]
         key = (agents, lo, hi, depth, tuple(outcomes))
         record = memo.get(key)
         if record is None:
@@ -476,7 +440,8 @@ def _cut_queries(
     if hi < lo:
         return [np.zeros(0, dtype=np.int64) for _ in agents]
     size = hi - lo + 1
-    group = max(1, _GROUP_ITEMS // size)
+    searched = max(min(g_b, size - 1), 1)  # values of c searched on each row
+    group = max(1, min(_GROUP_ITEMS // size, _GROUP_SEARCH // searched))
     cuts = []
     for start in range(0, len(agents), group):
         rows = [profile.values[agent - 1][lo - 1 : hi] for agent in agents[start : start + group]]

@@ -1,4 +1,3 @@
-import inspect
 import math
 import tracemalloc
 from collections import Counter, deque
@@ -486,46 +485,6 @@ def test_knife_samples_build_each_agents_root_cut_values_once(monkeypatch, rng):
     assert builds == [((1, 2), 1, 12)]
 
 
-def test_knife_samples_build_each_steps_cut_values_once(monkeypatch, rng):
-    # At n = 3 every run has a step below the root, on a range that the
-    # root's noisy cut moves from run to run.
-    builds = _counted_builds(monkeypatch)
-    p = random_additive_profile(rng, n=3, m=8, max_value=4)
-    params = PrivacyParams(epsilon=2.0, svt_constant=0.1)
-    runs = list(knife_samples(p, params, RandomStream(5), 2000))
-    steps = {(r.agents, r.lo, r.hi) for _, trace in runs for r in trace.records}
-    assert len(steps) > 10
-    assert sorted(builds) == sorted(steps)
-
-
-def test_knife_cut_value_memo_holds_memory_to_its_budget(monkeypatch):
-    # At n = 3, m = 400, epsilon 2 and svt_constant 1 the root's cut moves
-    # in most runs, so most runs build cut values on a new ~150-item range.
-    p = bernoulli_profile(3, 400, RandomStream(3))
-    params = PrivacyParams(epsilon=2.0, beta=0.1, svt_constant=1.0)
-    source, first = inspect.getsourcelines(prop_knife._cut_queries)
-
-    def built(frame):
-        return frame.filename == prop_knife.__file__ and first <= frame.lineno < first + len(source)
-
-    def held(budget, runs):
-        # Bytes allocated inside _cut_queries after the root's and still
-        # alive after `runs` runs; the iterator is not exhausted, so it still
-        # holds its memo.
-        monkeypatch.setattr(prop_knife, "_MEMO_VALUES", budget)
-        samples = knife_samples(p, params, RandomStream(3), runs + 1)
-        tracemalloc.start()
-        try:
-            deque(islice(samples, runs), maxlen=0)
-            snapshot = tracemalloc.take_snapshot()
-        finally:
-            tracemalloc.stop()
-        return sum(trace.size for trace in snapshot.traces if built(trace.traceback[0]))
-
-    assert held(10**9, 160) > 2 * held(10**9, 40)
-    assert held(4000, 160) == held(4000, 40) > 0
-
-
 def test_knife_memos_hold_memory_to_their_cap_not_to_the_run_count(monkeypatch):
     # At n = 4, m = 400 and svt_constant 0.1 nearly every run's SVT outcomes
     # are new, so memos without a cap would hold a trace for every run.
@@ -626,13 +585,16 @@ def test_breakpoint_scan_matches_freshly_sorted_pieces(size, distinct, n_left, n
     n=st.integers(min_value=1, max_value=5),
     size=st.integers(min_value=1, max_value=30),
     group_items=st.integers(min_value=1, max_value=60),
+    group_search=st.integers(min_value=1, max_value=40),
     n_left=st.integers(min_value=1, max_value=4),
     n_right=st.integers(min_value=1, max_value=4),
     data=st.data(),
 )
-def test_grouped_cut_queries_equal_each_agents_f_value(n, size, group_items, n_left, n_right, data):
-    # A small _GROUP_ITEMS splits a step's agents into groups of any size,
-    # and rows near 2**70 put int64 rows into object-dtype groups.
+def test_grouped_cut_queries_equal_each_agents_f_value(
+    n, size, group_items, group_search, n_left, n_right, data
+):
+    # Small group bounds split a step's agents into groups of any size, and
+    # rows near 2**70 put int64 rows into object-dtype groups.
     def row():
         wide = data.draw(st.booleans())
         items = st.integers(min_value=0, max_value=4).map(lambda v: 2**70 + v if wide and v else v)
@@ -645,11 +607,37 @@ def test_grouped_cut_queries_equal_each_agents_f_value(n, size, group_items, n_l
     g_b = data.draw(st.integers(min_value=1, max_value=3) | st.integers(min_value=1, max_value=hi - lo + 3))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(prop_knife, "_GROUP_ITEMS", group_items)
+        patch.setattr(prop_knife, "_GROUP_SEARCH", group_search)
         cuts = prop_knife._cut_queries(p, agents, lo, hi, g_b, n_left, n_right)
     assert [list(values) for values in cuts] == [
         [f_value(p, agent, lo, hi, h, g_b, n_left, n_right) for h in range(lo, hi + 1)]
         for agent in agents
     ]
+
+
+@pytest.mark.parametrize(
+    "size, g_b, groups",
+    [
+        (1500, 304, [3, 2]),  # 1024 // 304 = 3 agents search at most 2**10 values of c
+        (1500, 136, [5]),
+        (600, 2000, [1] * 5),  # past the range each row searches L - 1 = 599 values of c
+        (6000, 40, [2, 2, 1]),  # 2**14 // 6000 = 2 agents' rows
+        (20000, 40, [1] * 5),
+    ],
+)
+def test_cut_queries_group_agents_under_both_bounds(monkeypatch, size, g_b, groups):
+    built = []
+    original = prop_knife._breakpoints
+
+    def logged(rows, *rest):
+        built.append(len(rows))
+        return original(rows, *rest)
+
+    monkeypatch.setattr(prop_knife, "_breakpoints", logged)
+    p = bernoulli_profile(5, size, RandomStream(size))
+    cuts = prop_knife._cut_queries(p, (1, 2, 3, 4, 5), 1, size, g_b, 3, 2)
+    assert built == groups
+    assert [len(values) for values in cuts] == [size] * 5
 
 
 @pytest.mark.parametrize("g_b", [40, 400, 1003])
