@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from dpfair import RandomStream, above_threshold, exponential_mechanism, sample_laplace
+from dpfair.mechanisms import em_cumulative, em_draw
 
 # --- Laplace noise ---------------------------------------------------------
 stream = RandomStream(seed=2024)
@@ -23,9 +24,12 @@ print(f"  P(X > 2 ln 2) = {np.mean(draws > 2 * math.log(2)):.4f}  (target 0.25)"
 # Three candidates with scores 0, -1, -2 at epsilon = 2: each score step
 # costs a factor e in selection probability.
 stream = RandomStream(seed=7)
-counts = np.zeros(3, dtype=int)
-for _ in range(200_000):
-    counts[exponential_mechanism(stream, ["a", "b", "c"], [0.0, -1.0, -2.0], 2.0)] += 1
+scores = [0.0, -1.0, -2.0]
+first = exponential_mechanism(stream, ["a", "b", "c"], scores, 2.0)  # one draw, one uniform
+# The other 199,999 draws in one batch, which reads the same uniforms in turn
+# as that many more exponential_mechanism calls.
+counts = np.bincount(em_draw(stream.generator, em_cumulative(scores, 2.0), 199_999), minlength=3)
+counts[first] += 1
 print()
 print("exponential mechanism, scores (0, -1, -2), eps = 2:")
 print(f"  empirical frequencies: {counts / counts.sum()}")

@@ -34,7 +34,8 @@ EXACT_SLACK = 1e-9
 DEFAULT_Z = 3.0  # three-sigma margins throughout
 
 # A mechanism maps (profile, stream, k) to k outcomes drawn in turn from
-# the one stream, so it can build its fixed state once per input.
+# the one stream, or to a mapping of those outcomes to their counts, so it
+# can build its fixed state once per input.
 Mechanism = Callable[[UtilityProfile, RandomStream, int], Iterable]
 
 

@@ -283,7 +283,8 @@ def _pick(family: generators.PackingFamily, pick: str) -> UtilityProfile:
 def _mechanism_for(algorithm: str, params: PrivacyParams, enum_cap: int) -> audit_mod.Mechanism:
     """The allocator as a sampler: ``(profile, stream, k)`` to k allocations from one stream."""
     if algorithm == "ef":
-        return lambda profile, stream, k: EfSampler.prepare(profile, params, enum_cap).sample(
+        # Counted by candidate index, so no drawn allocation is hashed.
+        return lambda profile, stream, k: EfSampler.prepare(profile, params, enum_cap).counts(
             stream, k
         )
     # Lazy, so that a run's trace is dropped as soon as it is counted.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -36,9 +37,9 @@ from .mechanisms import (
 )
 
 DEFAULT_ENUMERATION_CAP = 10**7
-# Int64 cells of temporaries per block of the batched scorer (1 MB), which
+# 8-byte cells of buffers per block of the batched scorer (512 KB), which
 # bounds them however large the candidate set, g or the rows' value sets are.
-_SCORE_BLOCK_CELLS = 1 << 17
+_SCORE_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -204,48 +205,65 @@ def _additive_scores(profile: UtilityProfile, g: int) -> np.ndarray:
     ``held`` being a difference of two entries of ``c``.  A candidate passes
     at t when every agent i has ``own_i(g - t) >= other_ij(g + t)`` for every
     j.  The passing t are upward closed (see :func:`score`), so a binary
-    descent over the block finds how many t fail; the least passing t is one
-    more.  The descent also probes t in ``(g, 2g)``; there the own bundle is
-    untruncated (``g - t`` clipped at 0), so no value exceeds its row's sum,
-    the test stays monotone in t, and a count past ``g - 1`` scores ``-g``.
+    descent over ``[1, g - 1]`` finds how many t fail; the least passing t is
+    one more, and failing them all scores ``-g``.
 
-    Cost: ``ceil(log2(g + 1))`` steps, each O(n * D) per candidate for ``D``
-    thresholds over all rows, where testing every t cost O(n * D * g).
-    Memory: beside the ``(n, K)`` span bounds, a block holds its held counts
-    (``n * D`` per candidate), at most one more array of that size (a gather,
-    or one row's truncation) and O(n) small ones: at most
-    ``2 * (n * (D + 1) + 2)`` int64 cells per candidate, and a block has as
-    many candidates as keep that within ``_SCORE_BLOCK_CELLS``.
+    A probe tests every agent at once: all rows' ``D`` thresholds share one
+    count table, and one ``(n, D)`` block-diagonal weight matrix gives every
+    agent's value of every bundle in one matmul.  Cost: ``ceil(log2 g)``
+    probes of about a dozen numpy calls per block, each O(n * n * D) per
+    candidate.  The arithmetic is float64 when every row sums below 2**53, so
+    every product and partial sum is an integer that BLAS adds exactly in any
+    order, and int64 otherwise (sums from 2**63 go to :func:`score`).
+    Memory: beside the ``(n, K)`` span bounds and the scores, one set of
+    buffers serves every block: held and truncated counts (``n * D`` cells
+    per candidate each) and bundle values (``n * n``); a probe adds ``n``
+    row maxima and O(1) more.  That is at most ``n * (2 * D + n + 2) + 3``
+    cells of 8 bytes per candidate, and a block has as many candidates as
+    keep that within ``_SCORE_BLOCK_CELLS``.
     """
     n = profile.n
     starts, ends = _span_bounds(profile.m, n)
+    tables = list(map(threshold_counts, profile.values))
     # An all-zero row has no thresholds: its agent values every bundle at 0 and envies none.
-    rows = [(i, table) for i, table in enumerate(map(threshold_counts, profile.values)) if table]
-    weights = [np.array([w for w, _ in table], dtype=np.int64) for _, table in rows]
-    counts = np.array([c for _, table in rows for _, c in table], dtype=np.int64)
-    counts = counts.reshape(-1, profile.m + 1)
-    offsets = np.cumsum([0, *map(len, weights)]).tolist()
-    block = max(1, _SCORE_BLOCK_CELLS // (2 * (n * (len(counts) + 1) + 2)))
+    owner = np.repeat(np.arange(n), [len(table) for table in tables])
+    d = len(owner)
+    dtype = np.float64 if max(map(sum, profile.values)) < 2**53 else np.int64
+    counts = np.array([c for table in tables for _, c in table], dtype=dtype)
+    counts = counts.reshape(d, profile.m + 1)
+    weights = np.zeros((n, d), dtype=dtype)
+    weights[owner, np.arange(d)] = [w for table in tables for w, _ in table]
+    # +1 on the bundle of the threshold row's owner, -1 on every other bundle
+    sign = np.where(owner[:, None] == np.arange(n), 1, -1).astype(dtype)[:, :, None]
+    block = max(1, _SCORE_BLOCK_CELLS // (n * (2 * d + n + 2) + 3))
+    # One set of buffers serves every block, so no block faults in fresh pages;
+    # a shorter last block uses their prefixes.
+    size = min(block, starts.shape[1])
+    held_buf, x_buf = np.empty(d * n * size, dtype=dtype), np.empty(d * n * size, dtype=dtype)
+    value_buf = np.empty(n * n * size, dtype=dtype)
     failing = np.empty(starts.shape[1], dtype=np.int64)
     for first in range(0, starts.shape[1], block):
         s, e = starts[:, first : first + block], ends[:, first : first + block]
-        held = np.take(counts, e, axis=1)  # (threshold, bundle, candidate)
-        held -= np.take(counts, s, axis=1)
+        width = s.shape[1]
+        held = held_buf[: d * n * width].reshape(d, n, width)  # (threshold, bundle, candidate)
+        x = x_buf[: d * n * width].reshape(d, n, width)  # the probe's truncated counts
+        value = value_buf[: n * n * width].reshape(n, n, width)  # [agent, bundle, candidate]
+        # The bounds are in range; mode "clip" writes to out without the copy "raise" makes.
+        np.take(counts, e, axis=1, out=held, mode="clip")
+        held -= np.take(counts, s, axis=1, out=x, mode="clip")
         held -= g  # held - g - t items are left after the g + t largest go
-        below = np.zeros(s.shape[1], dtype=np.int64)  # every t <= below fails
-        step = 1 << (g.bit_length() - 1)
+        below = np.zeros(width, dtype=dtype)  # every t <= below fails; no probe casts t
+        step = (1 << (g - 1).bit_length()) >> 1
         while step:
-            t = below + step
-            passes = np.ones(len(t), dtype=bool)
-            for (i, _), w, lo, hi in zip(rows, weights, offsets, offsets[1:]):
-                x = held[lo:hi] - t
-                x[:, i] += t + np.minimum(t, g)  # own bundle loses only its max(g - t, 0) largest
-                np.maximum(x, 0, out=x)
-                value = (w @ x.reshape(len(w), -1)).reshape(n, -1)
-                passes &= value[i] >= value.max(axis=0)
-            below[~passes] += step
+            t = np.minimum(below + step, g - 1)
+            np.multiply(sign, t, out=x)
+            x += held  # the own bundle loses its g - t >= 1 largest items
+            np.maximum(x, 0, out=x)
+            np.matmul(weights, x.reshape(d, n * width), out=value.reshape(n, n * width))
+            fails = (value.diagonal().T < value.max(axis=1)).any(axis=0)
+            below[fails] += step
             step >>= 1
-        failing[first : first + len(below)] = below
+        failing[first : first + width] = below
     return -np.minimum(failing + 1, g)
 
 
@@ -263,8 +281,8 @@ class EfSampler:
     Holds the state that no draw changes: the truncation budget ``g``, the
     candidates, their scores and the exponential mechanism's cumulative
     weights.  A draw consumes exactly one uniform of the stream, so
-    :meth:`draw_many` and :meth:`sample` equal as many :func:`dp_ef_allocate`
-    calls on one stream.
+    :meth:`draw_many`, :meth:`sample` and :meth:`counts` equal as many
+    :func:`dp_ef_allocate` calls on one stream.
     """
 
     profile: UtilityProfile
@@ -301,6 +319,11 @@ class EfSampler:
         """``k`` allocations drawn in turn from one stream."""
         candidates = self.candidates
         return [candidates[index] for index in self.draw_many(stream, k).tolist()]
+
+    def counts(self, stream: RandomStream, k: int) -> Counter:
+        """How often each allocation occurs among the ``k`` draws :meth:`sample` makes."""
+        tally = np.bincount(self.draw_many(stream, k), minlength=len(self.candidates))
+        return Counter({self.candidates[i]: int(tally[i]) for i in np.flatnonzero(tally).tolist()})
 
     def report(self, index: int) -> EfRunReport:
         """The run report of candidate ``index``, with its certified guarantee."""

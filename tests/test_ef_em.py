@@ -149,13 +149,14 @@ def test_batched_scores_match_the_brute_definition(case):
 
 @pytest.mark.parametrize("cells", [1, 406])
 def test_batched_scores_do_not_depend_on_the_block_size(monkeypatch, rng, cells):
-    # A block holds cells // (2(n(D + 1) + 2)) candidates, at least one, for
-    # D thresholds over all rows.  This profile has D = 8, so 58 cells per
-    # candidate: the blocks hold 1 and 7 candidates; 7 does not divide 171.
+    # A block holds cells // (n(2D + n + 2) + 3) candidates, at least one, for
+    # D thresholds over all rows.  This profile has D = 8, so 66 cells per
+    # candidate: the blocks hold 1 and 6 candidates; 6 does not divide 171.
     p = random_additive_profile(rng, n=3, m=8, max_value=4)
     g = 3
     candidates = connected_allocation_tuple(p.m, p.n)
     assert len(candidates) == 171
+    assert sum(len(set(row) - {0}) for row in p.values) == 8
     expected = ef_em._additive_scores(p, g)
     monkeypatch.setattr(ef_em, "_SCORE_BLOCK_CELLS", cells)
     got = ef_em._additive_scores(p, g)
@@ -236,19 +237,74 @@ def test_batched_scores_at_the_benchmark_size_cover_every_level():
     [
         [[2**62, 1], [1, 2**62]],
         [[2**63, 0], [0, 1]],
-        # Five times the first row's maximum wraps int64, so the batch
-        # scorer's probes of t past g must not credit a bundle with more than
-        # it holds.  At g = 20, agent 1 holding items 1..38 has least t = 17.
+        # Five times the first row's maximum wraps int64, so no probe may
+        # credit a bundle with more than it holds.  At g = 20, agent 1
+        # holding items 1..38 has least t = 17.
         [[2**61] + [0] * 38, [0] + [1] * 37 + [0]],
     ],
 )
 def test_scores_with_row_sums_near_and_beyond_int64(values):
-    # Row sums below 2**63 are scored in batch; 2**63 does not fit, so that
-    # profile is scored candidate by candidate.
+    # Row sums from 2**53 up to 2**63 are scored in batch in int64 (below
+    # 2**53, in float64); 2**63 does not fit, so that profile is scored
+    # candidate by candidate.
     p = UtilityProfile.additive(values)
     for g in (1, 2, 3, 20):
         candidates, scores = scored_candidates(p, g)
         assert scores.tolist() == [score(p, a, g) for a in candidates]
+
+
+def _near_tie_profile(low, high, big):
+    # Agent 1 holds items 1..2 and agent 2 items 3..6.  At g = 2 the probe
+    # t = 1 leaves agent 1 its item 2 (low) and agent 2's item 6 (high), so
+    # agent 1 envies and the candidate scores -2 exactly when low < high.
+    return UtilityProfile.additive([[big, low, big, big, big, high], [1] * 6])
+
+
+@pytest.mark.parametrize(
+    "low,high,big,float_path",
+    [
+        # The first row sums to 2**53 - 1, the largest sum scored in float64.
+        (2**50 + 1, 2**50 + 2, 2**51 - 2**49 - 1, True),
+        # The first row sums past 2**53, where float64 would round high to
+        # low and tie them: only the int64 path tells them apart.
+        (2**53, 2**53 + 1, 2**53 + 2, False),
+    ],
+)
+def test_scores_at_the_float64_boundary(low, high, big, float_path):
+    p = _near_tie_profile(low, high, big)
+    assert (sum(p.values[0]) < 2**53) == float_path
+    assert float_path or float(low) == float(high)
+    candidates, scores = scored_candidates(p, 2)
+    assert scores.tolist() == [score(p, a, 2) for a in candidates]
+    split = ConnectedAllocation(spans=((1, 2), (3, 6)))
+    assert scores[candidates.index(split)] == -2
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, {1: 9, 2: 8, 3: 6, 4: 5}[n]))
+    top = draw(st.sampled_from((1, 4, 50, 10**6, 2**50)))
+    rows = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("zero", "top only", "random", "random")))
+        if kind == "zero":
+            rows.append((0,) * m)
+        elif kind == "top only":  # one threshold, weighing the profile's largest value
+            at = draw(st.integers(0, m - 1))
+            rows.append(tuple(top if j == at else 0 for j in range(m)))
+        else:
+            rows.append(tuple(draw(st.lists(st.integers(0, top), min_size=m, max_size=m))))
+    g = draw(st.sampled_from((1, 2, 3, 4, 5, 8, 16, 17, 32)))
+    return UtilityProfile.additive(rows), g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_cases())
+def test_batched_scores_equal_the_score_function(case):
+    p, g = case
+    candidates, scores = scored_candidates(p, g)
+    assert scores.tolist() == [score(p, a, g) for a in candidates]
 
 
 def test_general_profiles_score_by_the_definition(rng):
@@ -280,10 +336,10 @@ def test_allocator_uniform_on_all_zero_profile():
     zero = UtilityProfile.additive([[0, 0, 0], [0, 0, 0]])
     params = PrivacyParams(epsilon=1.0, beta=0.1)
     stream = RandomStream(99)
-    counts = Counter()
     trials = 30_000
-    for _ in range(trials):
-        counts[dp_ef_allocate(zero, params, stream).allocation.spans] += 1
+    # The same draws as 30,000 dp_ef_allocate calls on the stream, in one batch.
+    drawn = EfSampler.prepare(zero, params).sample(stream, trials)
+    counts = Counter(allocation.spans for allocation in drawn)
     assert len(counts) == 6
     expected = trials / 6
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -367,6 +423,16 @@ def test_sampler_equals_sequential_allocator_calls(rng, epsilon):
         assert sampler.sample(RandomStream(case), 150) == [r.allocation for r in sequential]
         # the batch leaves the stream where the single draws left it
         assert sampler.draw(stream) == sampler.draw_many(RandomStream(case), 151)[-1]
+
+
+def test_sampler_counts_equal_counted_samples(rng):
+    params = PrivacyParams(epsilon=2.0, beta=0.1)
+    for case in range(4):
+        profile = random_additive_profile(rng, n=2 + case % 2, m=4, max_value=3)
+        sampler = EfSampler.prepare(profile, params)
+        counted, sampled = RandomStream(case), RandomStream(case)
+        assert sampler.counts(counted, 5_000) == Counter(sampler.sample(sampled, 5_000))
+        assert counted.generator.bit_generator.state == sampled.generator.bit_generator.state
 
 
 def test_allocator_deterministic_replay():
