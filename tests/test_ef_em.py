@@ -253,13 +253,6 @@ def test_scores_with_row_sums_near_and_beyond_int64(values):
         assert scores.tolist() == [score(p, a, g) for a in candidates]
 
 
-def _near_tie_profile(low, high, big):
-    # Agent 1 holds items 1..2 and agent 2 items 3..6.  At g = 2 the probe
-    # t = 1 leaves agent 1 its item 2 (low) and agent 2's item 6 (high), so
-    # agent 1 envies and the candidate scores -2 exactly when low < high.
-    return UtilityProfile.additive([[big, low, big, big, big, high], [1] * 6])
-
-
 @pytest.mark.parametrize(
     "low,high,big,float_path",
     [
@@ -271,7 +264,10 @@ def _near_tie_profile(low, high, big):
     ],
 )
 def test_scores_at_the_float64_boundary(low, high, big, float_path):
-    p = _near_tie_profile(low, high, big)
+    # Agent 1 holds items 1..2 and agent 2 items 3..6.  At g = 2 the probe
+    # t = 1 leaves agent 1 its item 2 (low) and agent 2's item 6 (high), so
+    # agent 1 envies and the candidate scores -2 exactly when low < high.
+    p = UtilityProfile.additive([[big, low, big, big, big, high], [1] * 6])
     assert (sum(p.values[0]) < 2**53) == float_path
     assert float_path or float(low) == float(high)
     candidates, scores = scored_candidates(p, 2)
