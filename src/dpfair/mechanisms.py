@@ -239,20 +239,27 @@ def above_threshold(
     evaluate.  Later ones are read and compared in numpy blocks of up to
     4096 uniforms read ahead by the stream; on acceptance inside a block
     the stream steps back over the uniforms past the selected query.  A
-    numpy array of queries is sliced into blocks without a copy.
+    sliceable source -- a numpy array, or any object with a length whose
+    slices are numpy arrays -- is read by slices: the 32 queries of the
+    head, then one slice per block.  Such a source may hold only its first
+    ``queries.ready`` values ready and compute the rest on demand; a head or
+    block that would reach past them then stops there, so the rest is read
+    only when no query before it is selected.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     rho = sample_laplace(stream, 2.0 / epsilon)
     threshold = tau + rho
     scale = 4.0 / epsilon
-    if isinstance(queries, np.ndarray):
-        head = queries[:_SVT_HEAD].tolist()
-        blocks = _query_blocks(queries[_SVT_HEAD:]) if len(queries) > _SVT_HEAD else ()
+    if isinstance(queries, np.ndarray) or _sliceable(queries):
+        ready = getattr(queries, "ready", _SVT_HEAD)
+        end = ready if 0 < ready < _SVT_HEAD else _SVT_HEAD  # _block_end(queries, 0, 32)
+        head = queries[:end].tolist()
+        blocks = _query_blocks(queries, end) if len(queries) > end else ()
     else:
         rest = iter(queries)
         head = islice(rest, _SVT_HEAD)
-        blocks = _query_blocks(rest)
+        blocks = _query_blocks(rest, 0)
     start = stream._reserve(_SVT_HEAD, True)
     uniforms = stream._values
     position = start
@@ -273,18 +280,36 @@ def above_threshold(
     return SvtOutcome(None, consumed)
 
 
-def _query_blocks(rest: np.ndarray | Iterator[float]) -> Iterator[np.ndarray]:
-    # The queries after the head, in blocks of 256, 512, ... up to _SVT_BLOCK.
-    start, size = 0, 256
+def _sliceable(queries: object) -> bool:
+    # A source with a length whose slices are numpy arrays.  Lists, tuples,
+    # iterators and sequences that take no slice (a deque) are read one
+    # query at a time.
+    try:
+        return hasattr(queries, "__len__") and isinstance(queries[:0], np.ndarray)
+    except (TypeError, KeyError):
+        return False
+
+
+def _block_end(queries: object, start: int, stop: int) -> int:
+    # Where a read of a sliceable source from `start` to `stop` ends: at the
+    # end of the values the source holds ready, if that comes first.
+    ready = getattr(queries, "ready", stop)
+    return ready if start < ready < stop else stop
+
+
+def _query_blocks(queries, start: int) -> Iterator[np.ndarray]:
+    # The queries from `start` of a sliceable source, or the rest of an
+    # iterator, in blocks of 256, 512, ... up to _SVT_BLOCK.
+    size = 256
     while True:
-        if isinstance(rest, np.ndarray):
-            block = rest[start : start + size]
+        if isinstance(queries, Iterator):
+            block = np.fromiter(islice(queries, size), dtype=np.float64)
         else:
-            block = np.fromiter(islice(rest, size), dtype=np.float64)
+            block = queries[start : _block_end(queries, start, start + size)]
         if not len(block):
             return
         yield block
-        start += size
+        start += len(block)
         size = min(2 * size, _SVT_BLOCK)
 
 

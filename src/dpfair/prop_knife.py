@@ -6,7 +6,10 @@ leftmost knife position at which she would accept the left piece for the
 smaller group; the median report becomes the cut.  Privacy budgets follow a
 geometric schedule over the recursion levels -- coarse early cuts are cheap
 because later levels can still correct them -- and the per-level budgets sum
-to at most the total budget.
+to at most the total budget.  An agent's cut values come from the
+breakpoints of the agent's cut-acceptance function, found first only up to
+the SVT's threshold g_b/2, and past it only when the agent's SVT reads that
+far.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,12 +31,13 @@ _ADDITIVE_ONLY = "the moving-knife allocator requires additive utilities"
 _FAN_OUT = 4
 _SEARCH_CHUNK = 8192
 # A step's cut values are built for a group of its agents at once, on one
-# wavelet over their L-item rows and one search for the values of c of all
-# of them (min(g_b, L - 1) per row).  A group saves numpy's per-call cost,
+# wavelet over their L-item rows and one search for the values of c that
+# each row's first chunk holds: c from max(1, g_b - L + 2) to g_b // 2, or
+# to g_b where that range is empty.  A group saves numpy's per-call cost,
 # which dominates where each row searches few values of c; a larger one
 # only makes larger temporaries and a deeper wavelet.  So a group holds at
-# most _GROUP_ITEMS items and searches at most _GROUP_SEARCH values of c,
-# or it is one agent.
+# most _GROUP_ITEMS items and its first chunks hold at most _GROUP_SEARCH
+# values of c, or it is one agent.
 _GROUP_ITEMS = 2**14
 _GROUP_SEARCH = 2**10
 # knife_samples keeps at most this many recursion steps and as many runs.
@@ -192,15 +197,16 @@ class _Wavelet:
 
 
 def _breakpoints(
-    rows: Sequence[Sequence[int]], g_b: int, n_left: int, n_right: int
+    rows: Sequence[Sequence[int]], g_b: int, n_left: int, n_right: int, c_from: int, c_to: int
 ) -> np.ndarray:
     # Row a: ascending offsets H(c) - lo of the least cut with f >= c on
-    # rows[a], for c from max(1, g_b - size + 2) to g_b; every smaller c has
-    # H(c) = lo.  t = c is rejected at no cut past H(c).
+    # rows[a], for c from max(1, g_b - size + 2, c_from) to c_to; every c
+    # below max(1, g_b - size + 2) has H(c) = lo.  t = c is rejected at no
+    # cut past H(c).
     size = len(rows[0])
     # At j = 0 the right piece keeps max(size - 1 - g_b + c, 0) items, none
     # for c <= g_b - size + 1; at j = size - 1 - g_b + c it keeps none for c.
-    c = np.arange(max(1, g_b - size + 2), g_b + 1)
+    c = np.arange(max(1, g_b - size + 2, c_from), c_to + 1)
     if not len(c):
         return np.zeros((len(rows), 0), dtype=np.int64)
     # The wavelet's prefix sums run over all rows laid end to end.  They stay
@@ -299,19 +305,20 @@ def knife_samples(
 
     The budget schedule and the root call's cut values (every run's root
     call scans ``[1, m]`` at the top level; ``n * m`` values) are computed
-    once for all of them.  Each run is made only when the iterator reaches
-    it, so a caller that keeps only the allocations never holds ``k``
-    traces.  A recursion step is fixed by its range, its depth and its SVT
-    outcomes, and a run by its steps, so runs that repeat one share their
-    frozen records, allocation and trace; at most ``_MEMO_CAP`` of each are
-    kept.
+    once for all of them, and a root agent's breakpoints past g_b/2, once
+    an SVT has read that far, serve the later runs too.  Each run is made
+    only when the iterator reaches it, so a caller that keeps only the
+    allocations never holds ``k`` traces.  A recursion step is fixed by
+    its range, its depth and its SVT outcomes, and a run by its steps, so
+    runs that repeat one share their frozen records, allocation and trace;
+    at most ``_MEMO_CAP`` of each are kept.
     """
     if profile.kind != "additive":
         raise ValueError(_ADDITIVE_ONLY)
     schedule = budget_schedule(profile.m, profile.n, params)
     # A call on `size` agents: its level b, (epsilon_b, g_b) and group sizes.
     steps = {}
-    roots: list[np.ndarray] = []
+    roots: list[np.ndarray | _CutValues] = []
     if schedule:
         for size in range(2, profile.n + 1):
             b = math.ceil(math.log2(size))
@@ -331,7 +338,7 @@ def _group_sizes(size: int) -> tuple[int, int]:
 def _knife_run(
     profile: UtilityProfile,
     steps: dict[int, tuple[int, float, int, int, int]],
-    roots: list[np.ndarray],
+    roots: list[np.ndarray | _CutValues],
     stream: RandomStream,
     memo: dict[tuple, KnifeRecord],
     runs: dict[tuple, tuple[ConnectedAllocation, KnifeTrace]],
@@ -434,23 +441,63 @@ def _cut_queries(
     g_b: int,
     n_left: int,
     n_right: int,
-) -> list[np.ndarray]:
+) -> list[np.ndarray | _CutValues]:
     # Each agent's f_value at h = lo..hi: the number of c in [1, g_b] whose
-    # breakpoint H(c) is at most h.  hi < lo gives no queries.
+    # breakpoint H(c) is at most h.  Every row is read here, and its first
+    # chunk of c, up to the SVT's threshold g_b / 2, searched here.  Where
+    # that is every c the values are an array, and otherwise a _CutValues
+    # that searches the rest when read past them.  hi < lo gives no queries.
     if hi < lo:
         return [np.zeros(0, dtype=np.int64) for _ in agents]
     size = hi - lo + 1
-    searched = max(min(g_b, size - 1), 1)  # values of c searched on each row
+    c_min = max(1, g_b - size + 2)
+    first = g_b // 2 if c_min <= g_b // 2 else g_b  # the last c of each first chunk
+    searched = max(first - c_min + 1, 1)  # values of c in each first chunk
     group = max(1, min(_GROUP_ITEMS // size, _GROUP_SEARCH // searched))
+    offsets = np.arange(size)
     cuts = []
     for start in range(0, len(agents), group):
         rows = [profile.values[agent - 1][lo - 1 : hi] for agent in agents[start : start + group]]
-        breakpoints = _breakpoints(rows, g_b, n_left, n_right)
-        unsearched = g_b - breakpoints.shape[1]  # the c below the searched ones: H(c) = lo
-        cuts.extend(
-            unsearched + np.searchsorted(row, np.arange(size), side="right") for row in breakpoints
-        )
+        breakpoints = _breakpoints(rows, g_b, n_left, n_right, 1, first)
+        for row, points in zip(rows, breakpoints):
+            # The c below c_min have H(c) = lo.
+            values = c_min - 1 + np.searchsorted(points, offsets, side="right")
+            if first < g_b:
+                rest = partial(_breakpoints, [row], g_b, n_left, n_right, first + 1, g_b)
+                values = _CutValues(values, int(points[-1]), rest)
+            cuts.append(values)
     return cuts
+
+
+class _CutValues:
+    """One agent's cut values at offsets 0..L-1 of a step's range, searched as read.
+
+    Slices are int64 arrays.  ``values`` counts the breakpoints H(c) of the
+    c up to some c' < g_b.  Every c past c' has H(c) >= H(c'), so the
+    values below ``ready`` = H(c') are already exact.  A slice that reaches
+    past them calls ``search_rest`` for the breakpoints of the remaining c,
+    once for the source's lifetime.
+    """
+
+    __slots__ = ("_values", "ready", "_search_rest")
+
+    def __init__(self, values: np.ndarray, ready: int, search_rest: Callable[[], np.ndarray]):
+        self._values, self.ready, self._search_rest = values, ready, search_rest
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self[:])
+
+    def __getitem__(self, key: slice) -> np.ndarray:
+        offsets = range(*key.indices(len(self._values)))
+        if offsets and max(offsets[0], offsets[-1]) >= self.ready:
+            (rest,) = self._search_rest()
+            # The new breakpoints all lie at or past `ready`: no value below it changes.
+            self._values += np.searchsorted(rest, np.arange(len(self._values)), side="right")
+            self.ready, self._search_rest = len(self._values), None
+        return self._values[key]
 
 
 def proof_chain_c(m: int, n: int, params: PrivacyParams) -> int:

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -320,6 +321,54 @@ def reference_above_threshold(stream, queries, tau, epsilon):
         if value + sample_laplace(stream, 4.0 / epsilon) >= tau + rho:
             return SvtOutcome(index=index, queries_consumed=index + 1)
     return SvtOutcome(index=None, queries_consumed=len(queries))
+
+
+def test_svt_reads_sequences_without_slices_one_query_at_a_time():
+    # A deque has a length but takes no slice; a range slices to a range.
+    values = [0.0, 3.0, 90.0, 1.0, 200.0]
+    for queries in (deque(values), range(0, 300, 60)):
+        stream, twin = RandomStream(8), RandomStream(8)
+        assert above_threshold(stream, queries, 100.0, 1.0) == reference_above_threshold(
+            twin, list(queries), 100.0, 1.0
+        )
+        assert stream.generator.bit_generator.state == twin.generator.bit_generator.state
+
+
+class _ReadySource:
+    # Queries of which only the first `ready` are ready; logs every slice read.
+    def __init__(self, values, ready):
+        self.values, self.ready, self.reads = values, ready, []
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, key):
+        self.reads.append(range(*key.indices(len(self.values))))
+        return self.values[key]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    length=st.integers(min_value=0, max_value=1500),
+    tau=st.integers(min_value=0, max_value=60),
+    epsilon=st.floats(min_value=0.05, max_value=50.0),
+    seed=st.integers(min_value=0, max_value=2**32),
+    data=st.data(),
+)
+def test_svt_reads_past_a_sources_ready_queries_only_when_none_of_them_fires(
+    length, tau, epsilon, seed, data
+):
+    values = np.random.default_rng(seed).integers(0, 41, size=length)
+    ready = data.draw(st.integers(min_value=0, max_value=length))
+    source = _ReadySource(values, ready)
+    stream, twin = RandomStream(seed), RandomStream(seed)
+    outcome = above_threshold(stream, source, float(tau), epsilon)
+    assert outcome == reference_above_threshold(twin, values.tolist(), float(tau), epsilon)
+    assert stream.generator.bit_generator.state == twin.generator.bit_generator.state
+    reads = [read for read in source.reads if read]
+    assert all(read[-1] < ready or read[0] >= ready for read in reads)
+    if outcome.index is not None and outcome.index < ready:
+        assert all(read[-1] < ready for read in reads)
 
 
 @settings(max_examples=200, deadline=None)

@@ -13,7 +13,7 @@ import dpfair.prop_knife as prop_knife
 from dpfair.audit import parallel_structure_ok, validate_knife_trace
 from dpfair.core import ConnectedAllocation, PrivacyParams, UtilityProfile, is_prop_c
 from dpfair.generators import bernoulli_profile
-from dpfair.mechanisms import RandomStream, SvtOutcome
+from dpfair.mechanisms import RandomStream, SvtOutcome, above_threshold
 from dpfair.prop_knife import (
     budget_schedule,
     dp_moving_knife,
@@ -618,11 +618,14 @@ def test_grouped_cut_queries_equal_each_agents_f_value(
 @pytest.mark.parametrize(
     "size, g_b, groups",
     [
-        (1500, 304, [3, 2]),  # 1024 // 304 = 3 agents search at most 2**10 values of c
+        (1500, 304, [5]),  # first chunks of c <= 152: 1024 // 152 = 6 agents
         (1500, 136, [5]),
-        (600, 2000, [1] * 5),  # past the range each row searches L - 1 = 599 values of c
+        # Past the range no c <= g_b // 2 is searched, so each row's first
+        # chunk holds all L - 1 = 599 values of c.
+        (600, 2000, [1] * 5),
         (6000, 40, [2, 2, 1]),  # 2**14 // 6000 = 2 agents' rows
         (20000, 40, [1] * 5),
+        (1500, 608, [3, 2]),  # 1024 // 304 = 3 agents search at most 2**10 values of c
     ],
 )
 def test_cut_queries_group_agents_under_both_bounds(monkeypatch, size, g_b, groups):
@@ -653,3 +656,110 @@ def test_breakpoints_on_a_row_of_many_distinct_values(g_b):
     (cuts,) = prop_knife._cut_queries(p, (1,), lo, hi, g_b, 3, 2)
     assert list(cuts) == expected
     assert len(set(expected)) > 10
+
+
+def _logged_extensions(monkeypatch):
+    # Logs every search past a source's first chunk of c, one entry per row.
+    rows = []
+    original = prop_knife._breakpoints
+
+    def logged(rows_searched, g_b, n_left, n_right, c_from, c_to):
+        if c_from > 1:
+            rows.extend(rows_searched)
+        return original(rows_searched, g_b, n_left, n_right, c_from, c_to)
+
+    monkeypatch.setattr(prop_knife, "_breakpoints", logged)
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    top=st.sampled_from([2, 50, 10**6, 2**61]),
+    size=st.integers(min_value=1, max_value=40),
+    agents=st.integers(min_value=1, max_value=5),
+    g_b=st.integers(min_value=1, max_value=80),
+    n_left=st.integers(min_value=1, max_value=4),
+    n_right=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_lazy_cut_values_equal_f_value_in_any_pieces(
+    top, size, agents, g_b, n_left, n_right, data
+):
+    # Values near 2**61 put the rows into an object-dtype group.  A source
+    # is read whole or in pieces taken in random order; no piece ends at
+    # its first chunk's end, so one piece crosses H(g_b // 2).
+    items = st.integers(min_value=0, max_value=top - 1)
+    if top == 2**61:
+        items = st.integers(min_value=0, max_value=3).map(lambda v: 2**61 - v if v else 0)
+    p = UtilityProfile.additive(
+        [data.draw(st.lists(items, min_size=size, max_size=size)) for _ in range(agents)]
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        extended = _logged_extensions(patch)
+        cuts = prop_knife._cut_queries(p, p.agents, 1, size, g_b, n_left, n_right)
+        for agent, cut in zip(p.agents, cuts):
+            ready = getattr(cut, "ready", size)  # an array where every c was searched
+            ends = data.draw(st.sets(st.integers(min_value=0, max_value=size)))
+            ends = sorted((ends - {ready}) | {0, size})
+            pieces = data.draw(st.permutations(list(zip(ends, ends[1:]))))
+            values = [0] * size
+            for start, stop in pieces:
+                piece = cut[start:stop]
+                assert piece.dtype == np.int64
+                values[start:stop] = piece.tolist()
+            assert values == [
+                f_value(p, agent, 1, size, h, g_b, n_left, n_right) for h in range(1, size + 1)
+            ]
+            assert list(cut) == values
+    # Each source searched the rest of its row's c once, however it was read.
+    sources = [cut for cut in cuts if not isinstance(cut, np.ndarray)]
+    assert len(extended) == len(sources) == len({id(row) for row in extended})
+
+
+def test_svt_on_lazy_cut_values_equals_the_svt_on_their_array(monkeypatch):
+    # At epsilon = 50 the noise is small, so an SVT fires near the first
+    # offset where f reaches g_b / 2, which is where a source's first chunk
+    # ends: many SVTs read past it and make the source search the rest.
+    rng = np.random.default_rng(16)
+    extended = _logged_extensions(monkeypatch)
+    runs = searches = 0
+    for case in range(40):
+        size = int(rng.integers(20, 400))
+        g_b = 8 * int(rng.integers(1, 20))
+        agents = int(rng.integers(1, 6))
+        p = random_additive_profile(rng, agents, size, max_value=int(rng.choice([1, 4, 50])))
+        arrays = [cut[:] for cut in prop_knife._cut_queries(p, p.agents, 1, size, g_b, 3, 2)]
+        cuts = prop_knife._cut_queries(p, p.agents, 1, size, g_b, 3, 2)
+        before = len(extended)
+        for agent, (cut, array) in enumerate(zip(cuts, arrays)):
+            stream, twin = RandomStream(case, (agent,)), RandomStream(case, (agent,))
+            assert above_threshold(stream, cut, g_b / 2.0, 50.0) == above_threshold(
+                twin, array, g_b / 2.0, 50.0
+            )
+            assert stream.generator.bit_generator.state == twin.generator.bit_generator.state
+            runs += 1
+        searches += len(extended) - before
+    assert searches > runs / 2
+
+
+def test_knife_searches_about_half_the_values_of_c(monkeypatch):
+    # At the knife_allocate benchmark's shape the SVTs fire below g_b / 2,
+    # so the c past it are rarely searched.
+    searched = []
+    original = prop_knife._bisect
+
+    def counted(wavelet, offset, size, c, *rest):
+        searched.append(len(c))
+        return original(wavelet, offset, size, c, *rest)
+
+    monkeypatch.setattr(prop_knife, "_bisect", counted)
+    params = PrivacyParams(epsilon=2.0, beta=0.1, svt_constant=1.0)
+    for seed in range(3):
+        p = bernoulli_profile(5, 1500, RandomStream(seed, (1,)))
+        searched.clear()
+        _, trace = dp_moving_knife(p, params, RandomStream(seed, (2,)))
+        every_c = sum(
+            len(record.agents) * min(record.g_b, max(record.hi - record.lo, 0))
+            for record in trace.records
+        )
+        assert sum(searched) <= 0.6 * every_c
