@@ -6,8 +6,6 @@ exponential mechanism.  The score's sensitivity is at most 1 per single-cell
 utility edit, which is what buys the privacy guarantee.
 """
 
-from collections import Counter
-
 from dpfair import (
     EfSampler,
     PrivacyParams,
@@ -43,7 +41,7 @@ print()
 # drawn in turn from one stream by the allocator prepared once for the input.
 exact = exact_em_distribution(profile, params)
 runs = 20_000
-counts = Counter(EfSampler.prepare(profile, params).sample(RandomStream(seed=7), runs))
+counts = EfSampler.prepare(profile, params).counts(RandomStream(seed=7), runs)
 
 print(f"empirical vs exact output distribution over {runs} runs:")
 top = sorted(exact.items(), key=lambda kv: -kv[1])[:5]

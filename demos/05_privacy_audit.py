@@ -31,7 +31,7 @@ print(f"  max |log ratio| = {exact.max_log_ratio:.4f}  -> passed: {exact.passed}
 
 # A sampled audit prepares the allocator once per input and draws every run
 # of that input, in turn, from one stream.
-mechanism = lambda profile, stream, k: EfSampler.prepare(profile, params).sample(stream, k)
+mechanism = lambda profile, stream, k: EfSampler.prepare(profile, params).counts(stream, k)
 sampled = estimate_privacy_ratio(mechanism, p1, p2, params.epsilon,
                                  samples=5000, stream=RandomStream(1))
 print()

@@ -45,7 +45,7 @@ print()
 # replacement row that makes its outputs unfair for one agent.  Agent-level
 # privacy then forces the same failure (up to e^eps) on the witness input.
 params = PrivacyParams(epsilon=1.0, beta=0.1)
-mechanism = lambda profile, stream, k: EfSampler.prepare(profile, params).sample(stream, k)
+mechanism = lambda profile, stream, k: EfSampler.prepare(profile, params).counts(stream, k)
 witness = search_agent_level_witness(
     mechanism, n=2, m=6, criterion="ef", c=1,
     runs=60, candidate_rows=30, stream=RandomStream(8),

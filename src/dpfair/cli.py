@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from collections import Counter
 from dataclasses import asdict, fields
 from fractions import Fraction
 from typing import Optional
@@ -404,7 +403,7 @@ def _cmd_sweep(args) -> int:
         else:
             guarantee_c = prop_knife.proof_chain_c(m, n, params)
         start = time.perf_counter()
-        counts = Counter(mechanism(profile, grid_stream.child(1), args.trials))
+        counts = audit_mod.draw_counts(mechanism, profile, grid_stream.child(1), args.trials)
         achieved = {allocation: min_c(profile, allocation) for allocation in counts}
         worst_c = max(achieved.values())
         failures = sum(counts[a] for a, c in achieved.items() if c > guarantee_c)

@@ -40,6 +40,7 @@ DEFAULT_ENUMERATION_CAP = 10**7
 # 8-byte cells of buffers per block of the batched scorer (512 KB), which
 # bounds them however large the candidate set, g or the rows' value sets are.
 _SCORE_BLOCK_CELLS = 1 << 16
+SpanBounds = tuple[np.ndarray, np.ndarray]  # (starts, ends); see _span_bounds
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def enumerate_connected_allocations(m: int, n: int) -> Iterator[ConnectedAllocat
                     yield ConnectedAllocation(spans=tuple(spans))
 
 
-def _span_bounds(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _span_bounds(m: int, n: int) -> SpanBounds:
     """Every candidate's bundles as 0-based item intervals ``[start, end)``.
 
     Two ``(n, K)`` arrays in the order of :func:`enumerate_connected_allocations`,
@@ -132,16 +133,16 @@ def _span_bounds(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=256)
 def connected_allocation_tuple(m: int, n: int) -> tuple[ConnectedAllocation, ...]:
-    """Materialized candidate set, cached across repeated runs on one shape."""
+    """Materialized candidate set, cached per shape, for exhaustive audits of tiny shapes."""
     return tuple(enumerate_connected_allocations(m, n))
 
 
 def capped_candidates(
     profile: UtilityProfile, enumeration_cap: int
-) -> tuple[ConnectedAllocation, ...]:
-    """Every connected allocation of the profile's shape, refusing oversized sets.
+) -> Iterator[ConnectedAllocation]:
+    """Every connected allocation of the profile's shape, lazily, refusing oversized sets.
 
-    Raises :class:`EnumerationCapError` when there are more than
+    Raises :class:`EnumerationCapError` at the call when there are more than
     ``enumeration_cap`` candidates; a silently truncated candidate set would
     void both the privacy guarantee and every exhaustive oracle.
     """
@@ -150,7 +151,7 @@ def capped_candidates(
         raise EnumerationCapError(
             f"{count} connected allocations exceed the enumeration cap {enumeration_cap}"
         )
-    return connected_allocation_tuple(profile.m, profile.n)
+    return enumerate_connected_allocations(profile.m, profile.n)
 
 
 def score(profile: UtilityProfile, allocation: ConnectedAllocation, g: int) -> int:
@@ -172,32 +173,33 @@ def score(profile: UtilityProfile, allocation: ConnectedAllocation, g: int) -> i
 
 def scored_candidates(
     profile: UtilityProfile, g: int, enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[tuple[ConnectedAllocation, ...], np.ndarray]:
-    """Every connected allocation (see :func:`capped_candidates`) and its :func:`score`.
+) -> tuple[SpanBounds, np.ndarray]:
+    """Every connected allocation's :func:`_span_bounds` and :func:`score`.
 
-    The scores are a read-only integer array in candidate order, cached per
-    ``(profile, g)`` for callers that repeat :func:`dp_ef_allocate` on one
-    profile; :class:`EfSampler` scores once and draws many times without it.
+    Both are read-only arrays in candidate order, cached per ``(profile, g)``
+    for callers that repeat :func:`dp_ef_allocate` on one profile.
     """
-    candidates = capped_candidates(profile, enumeration_cap)
+    capped_candidates(profile, enumeration_cap)  # raises past the cap
     if g < 1:
         raise ValueError("g must be a positive integer")
-    return candidates, _score_cached(profile, g)
+    return _score_cached(profile, g)
 
 
 @lru_cache(maxsize=8)
-def _score_cached(profile: UtilityProfile, g: int) -> np.ndarray:
+def _score_cached(profile: UtilityProfile, g: int) -> tuple[SpanBounds, np.ndarray]:
+    bounds = _span_bounds(profile.m, profile.n)
     if profile.kind == "additive" and max(map(sum, profile.values)) < 2**63:
-        scores = _additive_scores(profile, g)
+        scores = _additive_scores(profile, g, bounds)
     else:  # general tables, or sums that int64 arithmetic would wrap
-        candidates = connected_allocation_tuple(profile.m, profile.n)
+        candidates = enumerate_connected_allocations(profile.m, profile.n)
         scores = [score(profile, allocation, g) for allocation in candidates]
     scores = np.asarray(scores, dtype=np.min_scalar_type(-g))
-    scores.flags.writeable = False
-    return scores
+    for array in (*bounds, scores):
+        array.flags.writeable = False
+    return bounds, scores
 
 
-def _additive_scores(profile: UtilityProfile, g: int) -> np.ndarray:
+def _additive_scores(profile: UtilityProfile, g: int, bounds: SpanBounds) -> np.ndarray:
     """:func:`score` of every candidate of an additive profile, in blocks of candidates.
 
     An agent's k-truncated bundle value is ``w @ max(held - k, 0)`` over the
@@ -223,7 +225,7 @@ def _additive_scores(profile: UtilityProfile, g: int) -> np.ndarray:
     keep that within ``_SCORE_BLOCK_CELLS``.
     """
     n = profile.n
-    starts, ends = _span_bounds(profile.m, n)
+    starts, ends = bounds
     tables = list(map(threshold_counts, profile.values))
     # An all-zero row has no thresholds: its agent values every bundle at 0 and envies none.
     owner = np.repeat(np.arange(n), [len(table) for table in tables])
@@ -279,16 +281,16 @@ class EfSampler:
     """The private envy-free allocator prepared for one ``(profile, params)``.
 
     Holds the state that no draw changes: the truncation budget ``g``, the
-    candidates, their scores and the exponential mechanism's cumulative
-    weights.  A draw consumes exactly one uniform of the stream, so
-    :meth:`draw_many`, :meth:`sample` and :meth:`counts` equal as many
+    candidates' span bounds, their scores and the exponential mechanism's
+    cumulative weights.  A draw consumes exactly one uniform of the stream,
+    so :meth:`draw_many` and :meth:`counts` equal as many
     :func:`dp_ef_allocate` calls on one stream.
     """
 
     profile: UtilityProfile
     params: PrivacyParams
     g: int
-    candidates: tuple[ConnectedAllocation, ...]
+    bounds: SpanBounds
     scores: np.ndarray
     cumulative: np.ndarray
 
@@ -299,13 +301,13 @@ class EfSampler:
         params: PrivacyParams,
         enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
     ) -> "EfSampler":
-        """Enumerate, score and weigh every candidate (see :func:`scored_candidates`)."""
+        """Bound, score and weigh every candidate (see :func:`scored_candidates`)."""
         if profile.m < 1:
             raise ValueError("allocator needs at least one item")
         g = scoring_truncation_budget(profile.m, profile.n, params.epsilon, params.beta)
-        candidates, scores = scored_candidates(profile, g, enumeration_cap)
+        bounds, scores = scored_candidates(profile, g, enumeration_cap)
         cumulative = em_cumulative(scores, params.epsilon)
-        return cls(profile, params, g, candidates, scores, cumulative)
+        return cls(profile, params, g, bounds, scores, cumulative)
 
     def draw(self, stream: RandomStream) -> int:
         """Index of one candidate drawn by the exponential mechanism."""
@@ -315,19 +317,19 @@ class EfSampler:
         """Indices of ``k`` candidates drawn in turn from one stream."""
         return em_draw(stream.generator, self.cumulative, k)
 
-    def sample(self, stream: RandomStream, k: int) -> list[ConnectedAllocation]:
-        """``k`` allocations drawn in turn from one stream."""
-        candidates = self.candidates
-        return [candidates[index] for index in self.draw_many(stream, k).tolist()]
+    def allocation(self, index: int) -> ConnectedAllocation:
+        """Candidate ``index``, the ``index``-th of :func:`enumerate_connected_allocations`."""
+        spans = zip(*(bound[:, index].tolist() for bound in self.bounds))
+        return ConnectedAllocation(spans=tuple((s + 1, e) if s != e else None for s, e in spans))
 
     def counts(self, stream: RandomStream, k: int) -> Counter:
-        """How often each allocation occurs among the ``k`` draws :meth:`sample` makes."""
-        tally = np.bincount(self.draw_many(stream, k), minlength=len(self.candidates))
-        return Counter({self.candidates[i]: int(tally[i]) for i in np.flatnonzero(tally).tolist()})
+        """How often each allocation occurs among ``k`` draws in turn from one stream."""
+        tally = np.bincount(self.draw_many(stream, k), minlength=len(self.scores))
+        return Counter({self.allocation(i): int(tally[i]) for i in np.flatnonzero(tally).tolist()})
 
     def report(self, index: int) -> EfRunReport:
         """The run report of candidate ``index``, with its certified guarantee."""
-        allocation, chosen = self.candidates[index], int(self.scores[index])
+        allocation, chosen = self.allocation(index), int(self.scores[index])
         fallback = None
         if chosen == -self.g and not is_ef_c(self.profile, allocation, 2 * self.g):
             fallback = min_ef_c(self.profile, allocation)
@@ -335,7 +337,7 @@ class EfSampler:
             allocation=allocation,
             g=self.g,
             score=chosen,
-            candidate_count=len(self.candidates),
+            candidate_count=len(self.scores),
             epsilon=self.params.epsilon,
             beta=self.params.beta,
             fallback_guarantee=fallback,

@@ -78,8 +78,7 @@ def ef2_connected_exists(
     Expected to be true on every monotone instance; a false return means the
     harness itself is broken, not that a counterexample was found.
     """
-    allocations = capped_candidates(profile, enumeration_cap)
-    return any(is_ef_c(profile, allocation, 2) for allocation in allocations)
+    return any(is_ef_c(profile, a, 2) for a in capped_candidates(profile, enumeration_cap))
 
 
 def exact_em_distribution(
@@ -99,10 +98,10 @@ def exact_em_distribution(
     """
     if g is None:
         g = scoring_truncation_budget(profile.m, profile.n, params.epsilon, params.beta)
-    allocations, scores = scored_candidates(profile, g, enumeration_cap)
+    _, scores = scored_candidates(profile, g, enumeration_cap)
     weights = em_weights(scores, params.epsilon)
-    probabilities = weights / weights.sum()
-    return {a: float(p) for a, p in zip(allocations, probabilities)}
+    candidates = capped_candidates(profile, enumeration_cap)
+    return {a: float(p) for a, p in zip(candidates, weights / weights.sum())}
 
 
 def binary_profiles(n: int, m: int, scale: int = 1) -> list[UtilityProfile]:

@@ -23,7 +23,11 @@ from test_core import binary_profile_from_bits
 
 
 def ef_mechanism(params):
-    return lambda profile, stream, k: EfSampler.prepare(profile, params).sample(stream, k)
+    def mechanism(profile, stream, k):
+        sampler = EfSampler.prepare(profile, params)
+        return [sampler.allocation(i) for i in sampler.draw_many(stream, k).tolist()]
+
+    return mechanism
 
 
 def prop_mechanism(params):

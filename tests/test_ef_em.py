@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -29,7 +30,7 @@ from dpfair.ef_em import (
     scoring_truncation_budget,
 )
 from dpfair.mechanisms import RandomStream
-from dpfair.oracles import exact_em_distribution
+from dpfair.oracles import ef2_connected_exists, exact_em_distribution, min_ef_c_connected
 
 from conftest import (
     brute_is_ef_d_wrt_truncated,
@@ -142,8 +143,9 @@ def _additive_score_cases(draw):
 @given(_additive_score_cases())
 def test_batched_scores_match_the_brute_definition(case):
     p, g = case
-    candidates, scores = scored_candidates(p, g)
-    assert candidates == connected_allocation_tuple(p.m, p.n)
+    bounds, scores = scored_candidates(p, g)
+    candidates = connected_allocation_tuple(p.m, p.n)
+    assert all(map(np.array_equal, bounds, ef_em._span_bounds(p.m, p.n)))
     assert scores.tolist() == [brute_score(p, a, g) for a in candidates]
 
 
@@ -157,14 +159,16 @@ def test_batched_scores_do_not_depend_on_the_block_size(monkeypatch, rng, cells)
     candidates = connected_allocation_tuple(p.m, p.n)
     assert len(candidates) == 171
     assert sum(len(set(row) - {0}) for row in p.values) == 8
-    expected = ef_em._additive_scores(p, g)
+    bounds = ef_em._span_bounds(p.m, p.n)
+    expected = ef_em._additive_scores(p, g, bounds)
     monkeypatch.setattr(ef_em, "_SCORE_BLOCK_CELLS", cells)
-    got = ef_em._additive_scores(p, g)
+    got = ef_em._additive_scores(p, g, bounds)
     assert got.tolist() == expected.tolist() == [score(p, a, g) for a in candidates]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_span_bounds_follow_the_candidate_order(n):
+    params = PrivacyParams(epsilon=1.0)
     for m in range(9):  # m < n and m = 0 included
         starts, ends = ef_em._span_bounds(m, n)
         spans = [a.spans for a in connected_allocation_tuple(m, n)]
@@ -172,6 +176,9 @@ def test_span_bounds_follow_the_candidate_order(n):
         # 0-based items [start, end); an empty bundle is [0, 0)
         assert starts.T.tolist() == [[span[0] - 1 if span else 0 for span in row] for row in spans]
         assert ends.T.tolist() == [[span[1] if span else 0 for span in row] for row in spans]
+        if m:  # the allocator needs an item
+            sampler = EfSampler.prepare(UtilityProfile.additive([[0] * m] * n), params)
+            assert [sampler.allocation(i).spans for i in range(len(spans))] == spans
 
 
 def _least_qualifying_t(p, allocation, g):
@@ -211,7 +218,7 @@ def test_bisection_matches_the_definition_at_both_ends(values, g, reached):
     least = [_least_qualifying_t(p, a, g) for a in candidates]
     assert reached <= set(least)
     expected = [-min(t, g) for t in least]
-    assert ef_em._additive_scores(p, g).tolist() == expected
+    assert ef_em._additive_scores(p, g, ef_em._span_bounds(p.m, p.n)).tolist() == expected
     assert [score(p, a, g) for a in candidates] == expected
 
 
@@ -223,7 +230,8 @@ def test_batched_scores_at_the_benchmark_size_cover_every_level():
     p = UtilityProfile.additive(rows.tolist())
     g = scoring_truncation_budget(60, 3, 8.0, 0.1)
     assert g == 16
-    candidates, scores = scored_candidates(p, g)
+    _, scores = scored_candidates(p, g)
+    candidates = connected_allocation_tuple(p.m, p.n)
     assert len(candidates) == 10_623
     assert set(scores.tolist()) == set(range(-g, 0))
     sample = {int(k) for level in range(-g, 0) for k in np.flatnonzero(scores == level)[:3]}
@@ -248,8 +256,9 @@ def test_scores_with_row_sums_near_and_beyond_int64(values):
     # 2**53, in float64); 2**63 does not fit, so that profile is scored
     # candidate by candidate.
     p = UtilityProfile.additive(values)
+    candidates = connected_allocation_tuple(p.m, p.n)
     for g in (1, 2, 3, 20):
-        candidates, scores = scored_candidates(p, g)
+        _, scores = scored_candidates(p, g)
         assert scores.tolist() == [score(p, a, g) for a in candidates]
 
 
@@ -270,7 +279,8 @@ def test_scores_at_the_float64_boundary(low, high, big, float_path):
     p = UtilityProfile.additive([[big, low, big, big, big, high], [1] * 6])
     assert (sum(p.values[0]) < 2**53) == float_path
     assert float_path or float(low) == float(high)
-    candidates, scores = scored_candidates(p, 2)
+    _, scores = scored_candidates(p, 2)
+    candidates = connected_allocation_tuple(p.m, p.n)
     assert scores.tolist() == [score(p, a, 2) for a in candidates]
     split = ConnectedAllocation(spans=((1, 2), (3, 6)))
     assert scores[candidates.index(split)] == -2
@@ -299,14 +309,15 @@ def _kernel_cases(draw):
 @given(_kernel_cases())
 def test_batched_scores_equal_the_score_function(case):
     p, g = case
-    candidates, scores = scored_candidates(p, g)
-    assert scores.tolist() == [score(p, a, g) for a in candidates]
+    _, scores = scored_candidates(p, g)
+    assert scores.tolist() == [score(p, a, g) for a in connected_allocation_tuple(p.m, p.n)]
 
 
 def test_general_profiles_score_by_the_definition(rng):
     p = random_general_profile(rng, 2, 5)
+    candidates = connected_allocation_tuple(p.m, p.n)
     for g in (1, 2, 3, 6):
-        candidates, scores = scored_candidates(p, g)
+        _, scores = scored_candidates(p, g)
         assert scores.tolist() == [brute_score(p, a, g) for a in candidates]
 
 
@@ -334,7 +345,8 @@ def test_allocator_uniform_on_all_zero_profile():
     stream = RandomStream(99)
     trials = 30_000
     # The same draws as 30,000 dp_ef_allocate calls on the stream, in one batch.
-    drawn = EfSampler.prepare(zero, params).sample(stream, trials)
+    sampler = EfSampler.prepare(zero, params)
+    drawn = [sampler.allocation(i) for i in sampler.draw_many(stream, trials).tolist()]
     counts = Counter(allocation.spans for allocation in drawn)
     assert len(counts) == 6
     expected = trials / 6
@@ -349,7 +361,7 @@ def test_allocator_matches_exact_distribution():
     stream = RandomStream(123)
     trials = 100_000
     # The same draws as 10^5 dp_ef_allocate calls on the stream, in one batch.
-    counts = Counter(EfSampler.prepare(profile, params).sample(stream, trials))
+    counts = EfSampler.prepare(profile, params).counts(stream, trials)
     for allocation, probability in exact.items():
         sigma = math.sqrt(probability * (1 - probability) / trials)
         assert abs(counts[allocation] / trials - probability) <= 3 * sigma + 1e-12
@@ -381,7 +393,7 @@ def test_guarantee_when_the_chosen_score_is_minus_g(last_value, qualifies):
     profile = UtilityProfile.additive([[0] + [1] * (2 * g) + [last_value], [1] * (2 * g + 2)])
     forced = ConnectedAllocation(spans=((1, 1), (2, 2 * g + 2)))
     sampler = EfSampler.prepare(profile, params)
-    report = sampler.report(sampler.candidates.index(forced))
+    report = sampler.report(connected_allocation_tuple(profile.m, profile.n).index(forced))
     assert report.allocation == forced
     assert report.score == score(profile, forced, g) == -g
     assert is_ef_d_wrt_truncated(profile, forced, 2 * g, 0) == qualifies
@@ -416,7 +428,8 @@ def test_sampler_equals_sequential_allocator_calls(rng, epsilon):
         sequential = [dp_ef_allocate(profile, params, stream) for _ in range(150)]
         indices = sampler.draw_many(RandomStream(case), 150)
         assert [sampler.report(i) for i in indices.tolist()] == sequential
-        assert sampler.sample(RandomStream(case), 150) == [r.allocation for r in sequential]
+        drawn = sampler.draw_many(RandomStream(case), 150).tolist()
+        assert [sampler.allocation(i) for i in drawn] == [r.allocation for r in sequential]
         # the batch leaves the stream where the single draws left it
         assert sampler.draw(stream) == sampler.draw_many(RandomStream(case), 151)[-1]
 
@@ -427,7 +440,8 @@ def test_sampler_counts_equal_counted_samples(rng):
         profile = random_additive_profile(rng, n=2 + case % 2, m=4, max_value=3)
         sampler = EfSampler.prepare(profile, params)
         counted, sampled = RandomStream(case), RandomStream(case)
-        assert sampler.counts(counted, 5_000) == Counter(sampler.sample(sampled, 5_000))
+        drawn = sampler.draw_many(sampled, 5_000).tolist()
+        assert sampler.counts(counted, 5_000) == Counter(map(sampler.allocation, drawn))
         assert counted.generator.bit_generator.state == sampled.generator.bit_generator.state
 
 
@@ -485,3 +499,37 @@ def test_score_cache_holds_one_vector_per_profile_and_g(tmp_path):
     assert cli.run(argv) == cli.EXIT_OK
     metadata = json.loads(out.read_text())["metadata"]
     assert type(metadata["score"]) is int and metadata["score"] == first.score
+
+
+def test_prepare_memory_is_bounded_by_the_span_bounds_and_weights():
+    # n = 3, m = 200, epsilon 4: 119,403 candidates.  The span bounds, scores
+    # and cumulative weights take 15 bytes per candidate (1.8 MB); the score
+    # descent adds a few transient K-long arrays.  Candidate objects would add
+    # about 345 bytes each (41 MB).
+    rows = np.random.default_rng(200).integers(0, 5, size=(3, 200))
+    profile = UtilityProfile.additive(rows.tolist())
+    misses = ef_em._score_cached.cache_info().misses
+    tracemalloc.start()
+    try:
+        sampler = EfSampler.prepare(profile, PrivacyParams(epsilon=4.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ef_em._score_cached.cache_info().misses == misses + 1  # scored here, not cached
+    assert len(sampler.scores) == 119_403
+    assert peak < 8 * 2**20
+
+
+def test_allocator_and_oracles_build_no_candidate_tuple(rng):
+    # Every caller outside the exhaustive sensitivity audit iterates the
+    # candidates lazily or reads them from the span bounds.
+    params = PrivacyParams(epsilon=2.0, beta=0.1)
+    additive = random_additive_profile(rng, n=3, m=11, max_value=3)
+    general = random_general_profile(rng, 2, 9)
+    before = connected_allocation_tuple.cache_info()
+    for p in (additive, general):
+        dp_ef_allocate(p, params, RandomStream(0))
+        exact_em_distribution(p, params, g=2)
+        min_ef_c_connected(p)
+        ef2_connected_exists(p)
+    assert connected_allocation_tuple.cache_info() == before

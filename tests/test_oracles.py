@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import pytest
 
@@ -118,7 +117,7 @@ def test_exact_distribution_against_monte_carlo():
     stream = RandomStream(2024)
     trials = 1_000_000
     # The same draws as 10^6 dp_ef_allocate calls on the stream, in one batch.
-    counts = Counter(EfSampler.prepare(profile, params).sample(stream, trials))
+    counts = EfSampler.prepare(profile, params).counts(stream, trials)
     for allocation, probability in exact.items():
         sigma = math.sqrt(probability * (1 - probability) / trials)
         assert abs(counts[allocation] / trials - probability) <= 3 * sigma + 1e-12
