@@ -477,6 +477,8 @@ _MODE_DEFAULTS = {
     "svt_constant": PrivacyParams.svt_constant,
     "enum_cap": DEFAULT_ENUMERATION_CAP,
     "trials": 1000,
+    "epsilon": 1.0,
+    "gamma": 2.0,
 }
 
 
@@ -484,11 +486,14 @@ def _refuse_ignored_flags(parser: argparse.ArgumentParser, args) -> None:
     """Exit 2 on a flag the chosen mode does not read; then fill in absent ones."""
     given = {key for key, value in vars(args).items() if value is not None}
     algorithm, exact = getattr(args, "algorithm", None), getattr(args, "exact", None)
+    packing_c = getattr(args, "kind", "").endswith("packing") and args.c is not None
     for flag, key, ignored, mode in (
         ("--svt-constant", "svt_constant", algorithm == "ef", "--algorithm ef"),
         ("--enum-cap", "enum_cap", algorithm == "prop", "--algorithm prop"),
         ("--g", "g", exact is False, "a sampled audit (without --exact)"),
         ("--trials", "trials", exact is True, "--exact"),
+        ("--epsilon", "epsilon", packing_c, "--c"),
+        ("--gamma", "gamma", getattr(args, "lemma", None) == "2.10", "--lemma 2.10"),
     ):
         if ignored and key in given:
             parser.error(f"{flag} is not read with {mode}")
@@ -512,7 +517,7 @@ def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
 
     base = [arg("--seed", type=int, default=_default_seed()), arg("--out", default=None)]
     instance = arg("--instance", required=True)
-    epsilon = arg("--epsilon", type=float, default=1.0)
+    epsilon = arg("--epsilon", type=float, default=_MODE_DEFAULTS["epsilon"])
     beta = arg("--beta", type=float, default=PrivacyParams.beta)
     svt = arg("--svt-constant", type=float, default=PrivacyParams.svt_constant)
     cap = arg("--enum-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
@@ -526,7 +531,8 @@ def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
     ]
     size = [arg("--n", type=int, required=True), arg("--m", type=int, required=True)]
     packing = [
-        *size, epsilon, arg("--c", type=int, default=None), arg("--T", type=int, default=None),
+        *size, arg("--epsilon", type=float, default=None), arg("--c", type=int, default=None),
+        arg("--T", type=int, default=None),
         arg("--pick", default=None, help="emit one family member: 'base' or 1..T"),
     ]
     ratio = [
@@ -576,7 +582,7 @@ def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
             trials,
             arg("--lemma", choices=("2.10", "2.11"), default="2.10"),
             arg("--k", type=int, default=100),
-            arg("--gamma", type=float, default=2.0),
+            arg("--gamma", type=float, default=None),
         ],
         ("sweep",): [*mechanism, trials, *grids, arg("--format", choices=("json", "csv"),
                                                       default="json")],

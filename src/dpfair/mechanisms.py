@@ -9,8 +9,7 @@ stream ids yield statistically independent substreams (backed by numpy's
 from __future__ import annotations
 
 import math
-from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -211,12 +210,12 @@ def exponential_mechanism(
     return em_draw(stream.generator, em_cumulative(scores, epsilon))
 
 
-# above_threshold compares its first _SVT_HEAD queries one at a time, so a
-# short run never pays a numpy block's fixed cost; later queries go in
-# blocks that double from 256 up to _SVT_BLOCK.  numpy's log1p may differ
-# from math.log1p in the last bit, so a block decision within a relative
-# _SVT_MARGIN of the threshold is remade with the scalar transform.
-_SVT_HEAD = 32
+# above_threshold reads a sliceable source in slices of at most _SVT_BLOCK
+# queries.  A slice shorter than _SVT_SCALAR is compared one query at a time,
+# so a short read never pays a numpy block's fixed cost.  numpy's log1p may
+# differ from math.log1p in the last bit, so a block decision within a
+# relative _SVT_MARGIN of the threshold is remade with the scalar transform.
+_SVT_SCALAR = 32
 _SVT_BLOCK = 4096
 _SVT_MARGIN = 1e-9
 
@@ -233,51 +232,54 @@ def above_threshold(
     query plus fresh Laplace(4/epsilon) noise against it, stopping at the
     first success.  Each query's noise is the next uniform of the stream,
     mapped as :func:`sample_laplace` maps it, so the outcome and the
-    stream's final state equal those of the one-query-at-a-time loop.  The
-    first 32 queries are consumed lazily and never past the selected index,
-    so callers may pass a generator whose elements are expensive to
-    evaluate.  Later ones are read and compared in numpy blocks of up to
-    4096 uniforms read ahead by the stream; on acceptance inside a block
-    the stream steps back over the uniforms past the selected query.  A
-    sliceable source -- a numpy array, or any object with a length whose
-    slices are numpy arrays -- is read by slices: the 32 queries of the
-    head, then one slice per block.  Such a source may hold only its first
-    ``queries.ready`` values ready and compute the rest on demand; a head or
-    block that would reach past them then stops there, so the rest is read
-    only when no query before it is selected.
+    stream's final state equal those of the one-query-at-a-time loop.
+
+    A sliceable source -- a numpy array, or any object with a length whose
+    slices are numpy arrays -- is read in consecutive slices of at most 4096
+    queries.  A slice of 32 or more is compared as one numpy block of
+    uniforms read ahead by the stream; on acceptance inside it the stream
+    steps back over the uniforms past the selected query.  Such a source
+    may hold only its first ``queries.ready`` values ready and compute the
+    rest on demand; no slice crosses ``ready``, so the rest is read only
+    when no query before it is selected.  Any other source is consumed
+    lazily, one query at a time and never past the selected index, so
+    callers may pass a generator whose elements are expensive to evaluate.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    rho = sample_laplace(stream, 2.0 / epsilon)
-    threshold = tau + rho
+    threshold = tau + sample_laplace(stream, 2.0 / epsilon)
     scale = 4.0 / epsilon
-    if isinstance(queries, np.ndarray) or _sliceable(queries):
-        ready = getattr(queries, "ready", _SVT_HEAD)
-        end = ready if 0 < ready < _SVT_HEAD else _SVT_HEAD  # _block_end(queries, 0, 32)
-        head = queries[:end].tolist()
-        blocks = _query_blocks(queries, end) if len(queries) > end else ()
-    else:
-        rest = iter(queries)
-        head = islice(rest, _SVT_HEAD)
-        blocks = _query_blocks(rest, 0)
-    start = stream._reserve(_SVT_HEAD, True)
-    uniforms = stream._values
-    position = start
-    for value in head:
-        noise = _laplace(uniforms[position], scale)
-        position += 1
-        if value + noise >= threshold:
+    if not (isinstance(queries, np.ndarray) or _sliceable(queries)):
+        consumed = 0
+        for value in queries:
+            consumed += 1
+            if value + _laplace(stream.uniform(), scale) >= threshold:
+                return SvtOutcome(consumed - 1, consumed)
+        return SvtOutcome(None, consumed)
+    length = len(queries)
+    ready = getattr(queries, "ready", length)
+    start = 0
+    while start < length:
+        stop = start + _SVT_BLOCK
+        block = queries[start : ready if start < ready < stop else stop]
+        size = len(block)
+        if size < _SVT_SCALAR:
+            first = position = stream._reserve(size, True)
+            uniforms = stream._values
+            for value in block.tolist():
+                noise = _laplace(uniforms[position], scale)
+                position += 1
+                if value + noise >= threshold:
+                    stream._position = position
+                    return SvtOutcome(start + position - first - 1, start + position - first)
             stream._position = position
-            return SvtOutcome(position - start - 1, position - start)
-    stream._position = position
-    consumed = position - start
-    for block in blocks:
-        index = _first_above(block, stream.uniforms(len(block)), threshold, scale)
-        if index is not None:
-            stream.step_back(len(block) - index - 1)
-            return SvtOutcome(consumed + index, consumed + index + 1)
-        consumed += len(block)
-    return SvtOutcome(None, consumed)
+        else:
+            index = _first_above(block, stream.uniforms(size), threshold, scale)
+            if index is not None:
+                stream.step_back(size - index - 1)
+                return SvtOutcome(start + index, start + index + 1)
+        start += size
+    return SvtOutcome(None, length)
 
 
 def _sliceable(queries: object) -> bool:
@@ -288,29 +290,6 @@ def _sliceable(queries: object) -> bool:
         return hasattr(queries, "__len__") and isinstance(queries[:0], np.ndarray)
     except (TypeError, KeyError):
         return False
-
-
-def _block_end(queries: object, start: int, stop: int) -> int:
-    # Where a read of a sliceable source from `start` to `stop` ends: at the
-    # end of the values the source holds ready, if that comes first.
-    ready = getattr(queries, "ready", stop)
-    return ready if start < ready < stop else stop
-
-
-def _query_blocks(queries, start: int) -> Iterator[np.ndarray]:
-    # The queries from `start` of a sliceable source, or the rest of an
-    # iterator, in blocks of 256, 512, ... up to _SVT_BLOCK.
-    size = 256
-    while True:
-        if isinstance(queries, Iterator):
-            block = np.fromiter(islice(queries, size), dtype=np.float64)
-        else:
-            block = queries[start : _block_end(queries, start, start + size)]
-        if not len(block):
-            return
-        yield block
-        start += len(block)
-        size = min(2 * size, _SVT_BLOCK)
 
 
 def _first_above(

@@ -11,6 +11,10 @@ import sys
 from pathlib import Path
 
 from dpfair import ef_em
+from dpfair.core import PrivacyParams
+from dpfair.generators import bernoulli_profile
+from dpfair.mechanisms import RandomStream
+from dpfair.prop_knife import dp_moving_knife
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -52,3 +56,21 @@ def test_tracer_installs_and_its_undo_restores_every_binding():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in after.items() if before[key] is not value] == []
+
+
+def test_tracer_counts_every_svt_of_a_knife_run():
+    # The per-layer SVT metrics read the traced above_threshold's calls and
+    # the queries its outcomes report: one call per agent of each step.
+    tracing = _load_tracing()
+    profile = bernoulli_profile(3, 200, RandomStream(5))
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        tracer.set_phase("ops")
+        _, trace = dp_moving_knife(profile, PrivacyParams(2.0, 0.1, 1.0), RandomStream(6))
+    finally:
+        uninstall()
+    calls, _ = tracer.stats["ops"]["mechanisms.above_threshold"]
+    assert calls == sum(len(record.agents) for record in trace.records) > 0
+    queries = tracer.counters["ops"]["svt.queries"]
+    assert queries == sum(sum(record.svt_queries) for record in trace.records) > 0

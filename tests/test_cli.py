@@ -433,6 +433,9 @@ IGNORED_IN_MODE = [
     (["audit", "group", *PAIR], ["--g", "2"]),
     (["audit", "privacy-ratio", *PAIR, "--exact"], ["--trials", "5"]),
     (["audit", "group", *PAIR, "--exact"], ["--trials", "5"]),
+    (["audit", "anti-concentration", "--lemma", "2.10"], ["--gamma", "7"]),
+    (["gen", "ef-packing", "--n", "3", "--m", "40", "--c", "1"], ["--epsilon", "5"]),
+    (["gen", "prop-packing", "--n", "3", "--m", "40", "--c", "1"], ["--epsilon", "5"]),
 ]
 
 
@@ -446,13 +449,15 @@ def test_a_flag_the_chosen_mode_does_not_read_exits_two(argv, flag, capsys):
 def test_absent_mode_flags_report_their_defaults(tmp_path, capsys):
     a = write_instance(tmp_path, "a.json", [[1, 0, 1], [0, 1, 1]])
     b = write_instance(tmp_path, "b.json", [[1, 0, 0], [0, 1, 1]])
-    pair = ["--instance1", a, "--instance2", b]
+    ratio = ["audit", "privacy-ratio", "--instance1", a, "--instance2", b]
     for argv, read in [
-        (["--exact", "--g", "2"], {"svt_constant": PrivacyParams.svt_constant, "trials": 1000}),
-        (["--algorithm", "prop", "--svt-constant", "2", "--trials", "20"],
+        ([*ratio, "--exact", "--g", "2"],
+         {"svt_constant": PrivacyParams.svt_constant, "trials": 1000}),
+        ([*ratio, "--algorithm", "prop", "--svt-constant", "2", "--trials", "20"],
          {"svt_constant": 2.0, "enum_cap": 10**7, "trials": 20}),
+        (["audit", "anti-concentration", "--lemma", "2.10", "--trials", "20"], {"gamma": 2.0}),
     ]:
-        code, text, _ = run_cli(["audit", "privacy-ratio", *pair, *argv], capsys)
+        code, text, _ = run_cli(argv, capsys)
         assert code == 0
         parameters = json.loads(text)["parameters"]
         assert {key: parameters[key] for key in read} == read

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -302,16 +303,17 @@ def test_svt_accuracy_at_the_standard_constant():
 
 
 def test_svt_lazy_consumption():
-    evaluated = []
+    for fired in (2, 40):
+        evaluated = []
 
-    def queries():
-        for value in [0.0, 0.0, 1e9, 1e9, 1e9]:
-            evaluated.append(value)
-            yield value
+        def queries():
+            for value in [0.0] * fired + [1e9] * 3:
+                evaluated.append(value)
+                yield value
 
-    out = above_threshold(RandomStream(34), queries(), tau=100.0, epsilon=1.0)
-    assert out == SvtOutcome(index=2, queries_consumed=3)
-    assert len(evaluated) == 3  # nothing past the selected query was evaluated
+        out = above_threshold(RandomStream(34), queries(), tau=100.0, epsilon=1.0)
+        assert out == SvtOutcome(index=fired, queries_consumed=fired + 1)
+        assert len(evaluated) == fired + 1  # nothing past the selected query was evaluated
 
 
 def reference_above_threshold(stream, queries, tau, epsilon):
@@ -371,6 +373,34 @@ def test_svt_reads_past_a_sources_ready_queries_only_when_none_of_them_fires(
         assert all(read[-1] < ready for read in reads)
 
 
+@pytest.mark.parametrize("ready,fired", [(20, 5), (32, 31), (1000, 900), (4096, 4000)])
+def test_svt_reads_a_source_that_fires_before_ready_in_one_slice(ready, fired):
+    values = np.full(5000, -10**9, dtype=np.int64)
+    values[fired:] = 10**9
+    source = _ReadySource(values, ready)
+    stream, twin = RandomStream(12), RandomStream(12)
+    outcome = above_threshold(stream, source, 0.0, 1.0)
+    assert outcome == reference_above_threshold(twin, values.tolist(), 0.0, 1.0)
+    assert outcome == SvtOutcome(index=fired, queries_consumed=fired + 1)
+    assert stream.generator.bit_generator.state == twin.generator.bit_generator.state
+    assert [read for read in source.reads if read] == [range(0, ready)]
+
+
+def test_svt_memory_stays_within_one_block_on_a_long_source():
+    # A never-firing 10^6-long source is compared 4096 queries at a time, so
+    # its uniforms and noise are never all held at once.
+    values = np.zeros(10**6, dtype=np.int64)
+    stream = RandomStream(13)
+    tracemalloc.start()
+    try:
+        outcome = above_threshold(stream, values, 1e9, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert outcome == SvtOutcome(index=None, queries_consumed=10**6)
+    assert peak < 2**20
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     queries=st.lists(st.integers(min_value=0, max_value=40), max_size=30),
@@ -414,8 +444,9 @@ def _edge(threshold, noise, accepted):
 def test_block_svt_equals_the_textbook_loop(
     length, step, depth, near_start, near_count, edge, buffered, as_array, epsilon, seed
 ):
-    # A step function from `depth` noise scales below tau to 40 above it, long
-    # enough to pass the scalar head and a 4096-block boundary.  A run of
+    # A step function from `depth` noise scales below tau to 40 above it.  A
+    # list is compared one query at a time; an array long enough is compared
+    # in fixed 4096-query blocks and crosses a block boundary.  A run of
     # queries sits where each one's own noise meets tau + rho: on either side
     # of the float boundary, where numpy's log1p may decide otherwise, or a
     # relative 1e-9 off it; a run of rejected ones is read to its end.  A
@@ -446,9 +477,9 @@ def test_block_svt_equals_the_textbook_loop(
 @pytest.mark.parametrize("accepted", [True, False])
 def test_block_svt_remakes_a_decision_numpy_rounds_the_other_way(accepted):
     # numpy's log1p may differ from math.log1p in the last bit.  One query
-    # past the scalar head sits on the float boundary of its own noise, at the
-    # first position where numpy's noise decides it the other way; the other
-    # queries are far below tau, except a last one far above.
+    # of an array compared as one block sits on the float boundary of its own
+    # noise, at the first position where numpy's noise decides it the other
+    # way; the other queries are far below tau, except a last one far above.
     epsilon, tau, length = 2.0, 1.0, 3000
     scale = 4.0 / epsilon
     for seed in range(100):
