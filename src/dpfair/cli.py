@@ -82,18 +82,27 @@ def profile_from_dict(doc: dict, where: str = "instance") -> UtilityProfile:
     for field in ("n", "m", "scale", "values"):
         if field not in doc:
             raise InstanceFormatError(f"{where}: missing required field '{field}'")
+
+    def integer(value, name: str) -> int:
+        if type(value) is not int:  # int() would truncate 0.7 and accept true and "2"
+            raise TypeError(f"{name} must be a JSON integer, got {json.dumps(value, default=repr)}")
+        return value
+
+    def rows(field: str) -> tuple[tuple[int, ...], ...]:
+        # Named by their 0-based positions in the JSON arrays, as in values[0][2].
+        return tuple(
+            tuple(integer(v, f"{field}[{i}][{j}]") for j, v in enumerate(row))
+            for i, row in enumerate(doc[field])
+        )
+
     try:
-        values = tuple(tuple(int(v) for v in row) for row in doc["values"])
-        tables = doc.get("tables")
-        if tables is not None:
-            tables = tuple(tuple(int(v) for v in table) for table in tables)
         return UtilityProfile(
-            n=int(doc["n"]),
-            m=int(doc["m"]),
-            scale=int(doc["scale"]),
-            values=values,
+            n=integer(doc["n"], "n"),
+            m=integer(doc["m"], "m"),
+            scale=integer(doc["scale"], "scale"),
+            values=rows("values"),
             kind=doc.get("kind", "additive"),
-            tables=tables,
+            tables=None if doc.get("tables") is None else rows("tables"),
         )
     except (TypeError, ValueError) as exc:
         raise InstanceFormatError(f"{where}: {exc}") from exc
@@ -442,18 +451,31 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+def _int_at_least(low: int, what: str):
+    """Argument type: an integer of at least ``low``, called ``what`` in errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _positive_int(text: str) -> int:
+_positive_int = _int_at_least(1, "a positive integer")
+_seed = _int_at_least(0, "a non-negative integer")
+
+
+def _env_seed() -> int:
+    """The seed when ``--seed`` is absent: ``DPFAIR_SEED``, else 0."""
     try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+        return _seed(os.environ.get(SEED_ENV_VAR, "0"))
+    except argparse.ArgumentTypeError as exc:
+        _PARSER.error(f"{SEED_ENV_VAR}: {exc}")
 
 
 def _grid(cast):
@@ -502,20 +524,18 @@ def _refuse_ignored_flags(parser: argparse.ArgumentParser, args) -> None:
             setattr(args, key, default)
 
 
-def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     """One leaf parser per command, declaring only the flags its handler reads.
 
     A flag the leaf does not read is a usage error.  ``oracle``, ``gen`` and
     ``audit`` pick their mode with a second word, parsed into ``which``,
-    ``kind`` and ``check``.  When ``argv`` starts with a leaf's words, only
-    that leaf is built, beside a bare entry per other command that keeps the
-    top-level usage line; ``argv`` then parses exactly as with every leaf.
+    ``kind`` and ``check``.
     """
 
     def arg(name: str, **kwargs) -> tuple[str, dict]:
         return name, kwargs
 
-    base = [arg("--seed", type=int, default=_default_seed()), arg("--out", default=None)]
+    base = [arg("--seed", type=_seed, default=None), arg("--out", default=None)]
     instance = arg("--instance", required=True)
     epsilon = arg("--epsilon", type=float, default=_MODE_DEFAULTS["epsilon"])
     beta = arg("--beta", type=float, default=PrivacyParams.beta)
@@ -587,12 +607,6 @@ def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
         ("sweep",): [*mechanism, trials, *grids, arg("--format", choices=("json", "csv"),
                                                       default="json")],
     }
-    if argv is not None:
-        words = tuple(argv[:2])
-        leaves = {path: flags for path, flags in leaves.items() if words[: len(path)] == path}
-        if not leaves:  # no leaf named: build them all, so help and errors list every one
-            return build_parser()
-    named = {path[0] for path in leaves}
 
     def leaf(subparsers, name, flags, text=None, handler=None):
         # No abbreviations: they would let an unread flag alias a read one
@@ -609,9 +623,7 @@ def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="subcommand", required=True)
     for name, (text, handler, dest) in commands.items():
-        if name not in named:
-            top.add_parser(name, help=text)
-        elif dest is None:
+        if dest is None:
             leaf(top, name, leaves[(name,)], text, handler)
         else:
             p = top.add_parser(name, help=text)
@@ -623,17 +635,21 @@ def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-        _refuse_ignored_flags(parser, args)
+        args = _PARSER.parse_args(argv)
+        _refuse_ignored_flags(_PARSER, args)
+        if args.seed is None:
+            args.seed = _env_seed()
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (EnumerationCapError, ValueError, IndexError) as exc:
+    except (EnumerationCapError, ValueError, IndexError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -17,6 +17,7 @@ Two utility kinds are supported:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -192,6 +193,10 @@ class PrivacyParams:
     svt_constant: float = 16.0  # accuracy constant of the threshold mechanism
 
     def __post_init__(self):
+        # inf and NaN pass the sign checks but give NaN EM weights and SVT overflows.
+        for name in ("epsilon", "svt_constant"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if not 0 < self.beta <= 1:

@@ -478,25 +478,16 @@ def test_every_leaf_command_is_covered_by_the_unread_flag_table():
         assert any(tuple(argv[: len(path)]) == path for argv, _ in UNREAD_FLAGS), path
 
 
-def _parser_at(parser, path):
-    for name in path:
-        subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        parser = subs.choices[name]
-    return parser
+def test_run_parses_with_the_parser_built_at_import(tmp_path, capsys, monkeypatch):
+    def rebuild():
+        raise AssertionError("cli.run rebuilt its parser")
 
-
-def test_a_named_leaf_is_built_alone_and_parses_as_in_the_full_parser():
-    full = cli.build_parser()
-    for argv, _ in UNREAD_FLAGS:
-        path = next(p for p in _leaf_paths(full) if tuple(argv[: len(p)]) == p)
-        named = cli.build_parser(argv)
-        # the named leaf plus one bare entry for each of the five other commands
-        assert path in _leaf_paths(named) and len(_leaf_paths(named)) == 6
-        assert named.format_help() == full.format_help()
-        assert _parser_at(named, path).format_help() == _parser_at(full, path).format_help()
-        assert named.parse_args(argv) == full.parse_args(argv)
-    for argv in (["--help"], ["audit", "--help"], ["bogus"], []):
-        assert len(_leaf_paths(cli.build_parser(argv))) == 16
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    path = write_instance(tmp_path, "i.json", [[1, 0, 1], [0, 1, 0]])
+    for argv in (["gen", "all-zero", "--n", "2", "--m", "3"],
+                 ["oracle", "min-ef", "--instance", path],
+                 ["audit", "sensitivity", "--which", "f"]):
+        assert run_cli(argv, capsys)[0] == 0, argv
 
 
 def test_battery_command_shapes_exit_zero(tmp_path):
@@ -576,28 +567,113 @@ def test_csv_format_rejected_outside_sweep(tmp_path, capsys):
     assert code == 2
 
 
+NOT_INTEGERS = [
+    ({"values": [[1, 0, 1], [0, 0.7, 0]]}, "values[1][1]"),
+    ({"values": [[1, 0, True], [0, 1, 0]]}, "values[0][2]"),
+    ({"scale": 1.9}, "scale"),
+    ({"n": "2"}, "n"),
+    ({"m": True}, "m"),
+    ({"n": 1, "m": 2, "values": [[1, 1]], "kind": "general", "tables": [[0, 1.5, 1, 2]]},
+     "tables[0][1]"),
+]
+
+
+@pytest.mark.parametrize("instance, name", NOT_INTEGERS, ids=[name for _, name in NOT_INTEGERS])
+@pytest.mark.parametrize("command", [["oracle", "min-ef"], ["allocate-ef"]], ids=" ".join)
+def test_instance_numbers_must_be_json_integers(instance, name, command, tmp_path, capsys):
+    doc = {"n": 2, "m": 3, "scale": 1, "kind": "additive",
+           "values": [[1, 0, 1], [0, 1, 0]], **instance}
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli([*command, "--instance", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert f"{name} must be a JSON integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["allocate-ef", "--epsilon", "inf"],
+    ["allocate-ef", "--epsilon", "nan"],
+    ["allocate-prop", "--epsilon", "inf"],
+    ["allocate-prop", "--svt-constant", "inf"],
+    ["allocate-prop", "--svt-constant", "nan"],
+], ids=" ".join)
+def test_privacy_parameters_must_be_finite(argv, tmp_path, capsys):
+    path = write_instance(tmp_path, "i.json", [[1, 0, 1], [0, 1, 0]])
+    code, out, err = run_cli([*argv, "--instance", path], capsys)
+    assert code == 2 and out == ""
+    assert f"{argv[1][2:].replace('-', '_')} must be finite" in err
+
+
+SEEDED = [
+    ["gen", "all-zero", "--n", "2", "--m", "3"],
+    ["audit", "sensitivity"],
+    ["allocate-ef", "--instance", "i.json"],
+]
+
+
+@pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+@pytest.mark.parametrize("argv", SEEDED, ids=lambda argv: " ".join(argv[:2]))
+def test_seed_must_be_a_non_negative_integer(argv, seed, capsys):
+    code, out, err = run_cli([*argv, "--seed", seed], capsys)
+    assert code == 2 and out == ""
+    assert "--seed" in err and "non-negative integer" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "abc", ""])
+def test_an_invalid_seed_variable_exits_two_naming_it(seed, capsys, monkeypatch):
+    monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
+    for argv in SEEDED:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert f"{cli.SEED_ENV_VAR}: expected a non-negative integer" in err
+    # Neither help nor a run given --seed reads the variable.
+    assert run_cli(["gen", "all-zero", "--help"], capsys)[0] == 0
+    assert run_cli(["audit", "sensitivity", "--seed", "4"], capsys)[0] == 0
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "a-dir"])
+@pytest.mark.parametrize("argv", [
+    ["gen", "all-zero", "--n", "2", "--m", "3"],
+    ["audit", "sensitivity"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_an_unwritable_out_exits_two(argv, target, tmp_path, capsys):
+    out = tmp_path / target
+    code, text, err = run_cli([*argv, "--out", str(out)], capsys)
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and str(out) in err
+
+
 def test_seed_env_var_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "123")
     path = write_instance(tmp_path, "i.json", [[1, 0], [0, 1]])
-    code, text, _ = run_cli(["allocate-ef", "--instance", path], capsys)
-    assert code == 0
-    assert json.loads(text)["seed"] == 123
+    # read on every call, not once when the parser is built
+    for seed in (123, 45):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, str(seed))
+        code, text, _ = run_cli(["allocate-ef", "--instance", path], capsys)
+        assert code == 0
+        assert json.loads(text)["seed"] == seed
 
 
 def test_reports_replay_byte_identically(tmp_path, capsys):
     path = write_instance(tmp_path, "i.json", [[1, 0, 1, 1], [0, 1, 1, 0]])
+    other = write_instance(tmp_path, "j.json", [[1, 0, 1, 1], [0, 1, 1, 1]])
+    pair = ["--instance1", path, "--instance2", other]
     commands = [
         ["allocate-ef", "--instance", path, "--seed", "9", "--epsilon", "2"],
         ["allocate-prop", "--instance", path, "--seed", "9", "--epsilon", "1"],
         ["oracle", "em-dist", "--instance", path, "--epsilon", "1"],
         ["audit", "anti-concentration", "--lemma", "2.11", "--k", "100",
          "--gamma", "2", "--trials", "5000", "--seed", "4"],
+        # one leaf in two modes, each filling _MODE_DEFAULTS differently
+        ["audit", "privacy-ratio", *pair, "--exact", "--g", "2"],
+        ["audit", "privacy-ratio", *pair, "--algorithm", "prop", "--trials", "40"],
+        ["audit", "anti-concentration", "--lemma", "2.10", "--trials", "50"],
     ]
-    for argv in commands:
-        first = run_cli(argv, capsys)
-        second = run_cli(argv, capsys)
-        assert first[0] == second[0] == 0
-        assert strip_timing(first[1]) == strip_timing(second[1])
+    # Forward, then backward: every leaf parses after a different one each time.
+    first = {tuple(argv): run_cli(argv, capsys) for argv in commands}
+    for argv in reversed(commands):
+        code, text, _ = run_cli(argv, capsys)
+        assert code == first[tuple(argv)][0] == 0, argv
+        assert strip_timing(text) == strip_timing(first[tuple(argv)][1]), argv
 
 
 def test_module_entry_point(tmp_path):
