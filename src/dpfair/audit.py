@@ -31,7 +31,7 @@ from .oracles import exact_em_distribution
 from .prop_knife import KnifeTrace
 
 EXACT_SLACK = 1e-9
-DEFAULT_Z = 3.0  # three-sigma margins throughout
+WILSON_Z = 3.0  # three-sigma margins throughout
 
 # A mechanism maps (profile, stream, k) to k outcomes drawn in turn from
 # the one stream, or to a mapping of those outcomes to their counts, so it
@@ -49,11 +49,11 @@ def draw_counts(
     return counts
 
 
-def wilson_interval(successes: int, trials: int, z: float = DEFAULT_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval, ``WILSON_Z`` sigmas wide, for a binomial proportion."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    p = successes / trials
+    p, z = successes / trials, WILSON_Z
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom

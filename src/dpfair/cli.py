@@ -467,13 +467,13 @@ def _int_at_least(low: int, what: str):
 
 
 _positive_int = _int_at_least(1, "a positive integer")
-_seed = _int_at_least(0, "a non-negative integer")
+_nonnegative_int = _int_at_least(0, "a non-negative integer")
 
 
 def _env_seed() -> int:
     """The seed when ``--seed`` is absent: ``DPFAIR_SEED``, else 0."""
     try:
-        return _seed(os.environ.get(SEED_ENV_VAR, "0"))
+        return _nonnegative_int(os.environ.get(SEED_ENV_VAR, "0"))
     except argparse.ArgumentTypeError as exc:
         _PARSER.error(f"{SEED_ENV_VAR}: {exc}")
 
@@ -535,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     def arg(name: str, **kwargs) -> tuple[str, dict]:
         return name, kwargs
 
-    base = [arg("--seed", type=_seed, default=None), arg("--out", default=None)]
+    base = [arg("--seed", type=_nonnegative_int, default=None), arg("--out", default=None)]
     instance = arg("--instance", required=True)
     epsilon = arg("--epsilon", type=float, default=_MODE_DEFAULTS["epsilon"])
     beta = arg("--beta", type=float, default=PrivacyParams.beta)
@@ -551,7 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     ]
     size = [arg("--n", type=int, required=True), arg("--m", type=int, required=True)]
     packing = [
-        *size, arg("--epsilon", type=float, default=None), arg("--c", type=int, default=None),
+        *size, arg("--epsilon", type=float, default=None),
+        arg("--c", type=_positive_int, default=None),
         arg("--T", type=int, default=None),
         arg("--pick", default=None, help="emit one family member: 'base' or 1..T"),
     ]
@@ -596,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("audit", "fairness-rate"): [
             instance, *mechanism, epsilon, beta, trials,
             arg("--criterion", choices=("EF", "PROP"), default="EF"),
-            arg("--c", type=int, default=0),
+            arg("--c", type=_nonnegative_int, default=0),
         ],
         ("audit", "anti-concentration"): [
             trials,

@@ -176,8 +176,8 @@ def scored_candidates(
 ) -> tuple[SpanBounds, np.ndarray]:
     """Every connected allocation's :func:`_span_bounds` and :func:`score`.
 
-    Both are read-only arrays in candidate order, cached per ``(profile, g)``
-    for callers that repeat :func:`dp_ef_allocate` on one profile.
+    Both are read-only arrays in candidate order.  The last ``(profile, g)``
+    is cached, for callers that repeat :func:`dp_ef_allocate` on one profile.
     """
     capped_candidates(profile, enumeration_cap)  # raises past the cap
     if g < 1:
@@ -185,7 +185,7 @@ def scored_candidates(
     return _score_cached(profile, g)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _score_cached(profile: UtilityProfile, g: int) -> tuple[SpanBounds, np.ndarray]:
     bounds = _span_bounds(profile.m, profile.n)
     if profile.kind == "additive" and max(map(sum, profile.values)) < 2**63:

@@ -56,13 +56,16 @@ class PackingFamily:
     expected_distance: int
 
 
-def default_ef_packing_c(m: int, epsilon: float, n: int, zeta: float = 0.01) -> int:
-    return math.floor(zeta * min(math.log(m) / epsilon, m / n, math.sqrt(m)))
+_ZETA = 0.01  # the constant factor of both default-c formulas
 
 
-def default_prop_packing_c(m: int, epsilon: float, n: int, zeta: float = 0.01) -> int:
+def default_ef_packing_c(m: int, epsilon: float, n: int) -> int:
+    return math.floor(_ZETA * min(math.log(m) / epsilon, m / n, math.sqrt(m)))
+
+
+def default_prop_packing_c(m: int, epsilon: float, n: int) -> int:
     return math.floor(
-        zeta * min(math.log(m / n) / (epsilon * n), m / n, math.sqrt(m / n))
+        _ZETA * min(math.log(m / n) / (epsilon * n), m / n, math.sqrt(m / n))
     )
 
 
@@ -83,6 +86,8 @@ def _packing_family(
     if c is None:
         if epsilon is None:
             raise ValueError("either an explicit c or epsilon for the default formula")
+        if not 0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
         c = default_c(m, epsilon, n)
     if c < 1:
         raise ValueError("need c >= 1 (the construction is void at c = 0)")

@@ -14,10 +14,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 
-# A stream reads scalar uniforms ahead in buffers of _READ_AHEAD doubles,
-# doubling on each such refill up to _READ_AHEAD_MAX.
-_READ_AHEAD = 64
-_READ_AHEAD_MAX = 1024
+# A scalar read that refills a stream's buffer draws _READ_AHEAD doubles.
+_READ_AHEAD = 256
 
 
 class RandomStream:
@@ -31,7 +29,9 @@ class RandomStream:
     The uniforms that :func:`sample_laplace` and :func:`above_threshold`
     read come from a read-ahead buffer: ``generator.random(size)`` yields
     the same doubles as ``size`` one-at-a-time draws, so a read is the next
-    buffered double and a step back is a move of the read position.  The
+    buffered double and a step back is a move of the read position.  A
+    scalar read past the buffer draws the next 256 doubles; a block read
+    past it draws exactly its block.  The
     :attr:`generator` property first puts the generator where one-at-a-time
     draws would have left it, so buffered reads and direct generator calls
     interleave as if every uniform had been drawn alone.  A generator taken
@@ -45,19 +45,16 @@ class RandomStream:
         self.path = tuple(int(x) for x in stream_id)
         self._generator: Optional[np.random.Generator] = None
         # The buffer as an array, and as a list for scalar reads (None when
-        # a block read drew it), the read position in it, the generator's
-        # state before it was drawn (None while no buffer is held) and the
-        # size of the next scalar refill.
+        # a block read drew it), the read position in it and the generator's
+        # state before it was drawn (None while no buffer is held).
         self._block: np.ndarray = np.empty(0)
         self._values: Optional[list[float]] = None
         self._position = 0
         self._saved: Optional[dict] = None
-        self._ahead = _READ_AHEAD
 
     @property
     def generator(self) -> np.random.Generator:
         """The generator, where one-at-a-time draws of every read uniform leave it."""
-        self._ahead = _READ_AHEAD
         return self._sync()
 
     def _sync(self) -> np.random.Generator:
@@ -80,19 +77,14 @@ class RandomStream:
         # Buffer at least `count` unread uniforms, as a list too if `listed`,
         # and return the read position.  A refill restarts the buffer at the
         # read position, so the unread tail is read again from the new one.
-        # Scalar refills read further ahead each time; a block read draws
+        # A scalar refill reads _READ_AHEAD doubles ahead; a block read draws
         # its block alone.
         position = self._position
         if position + count <= len(self._block) and (self._values is not None or not listed):
             return position
         generator = self._sync()
-        if listed:
-            size = max(count, self._ahead)
-            self._ahead = min(2 * self._ahead, _READ_AHEAD_MAX)
-        else:
-            size, self._ahead = count, _READ_AHEAD
         self._saved = generator.bit_generator.state
-        self._block = generator.random(size)
+        self._block = generator.random(max(count, _READ_AHEAD) if listed else count)
         self._values = self._block.tolist() if listed else None
         return 0
 
@@ -210,8 +202,8 @@ def exponential_mechanism(
     return em_draw(stream.generator, em_cumulative(scores, epsilon))
 
 
-# above_threshold reads a sliceable source in slices of at most _SVT_BLOCK
-# queries.  A slice shorter than _SVT_SCALAR is compared one query at a time,
+# above_threshold reads an ndarray, or a source that declares `ready`, in
+# slices of at most _SVT_BLOCK queries.  A slice shorter than _SVT_SCALAR is compared one query at a time,
 # so a short read never pays a numpy block's fixed cost.  numpy's log1p may
 # differ from math.log1p in the last bit, so a block decision within a
 # relative _SVT_MARGIN of the threshold is remade with the scalar transform.
@@ -234,22 +226,23 @@ def above_threshold(
     mapped as :func:`sample_laplace` maps it, so the outcome and the
     stream's final state equal those of the one-query-at-a-time loop.
 
-    A sliceable source -- a numpy array, or any object with a length whose
-    slices are numpy arrays -- is read in consecutive slices of at most 4096
-    queries.  A slice of 32 or more is compared as one numpy block of
+    A numpy array, or a source that declares ``ready`` -- an object with a
+    length whose slices are numpy arrays, of which the first ``ready``
+    values are ready and the rest are computed on demand -- is read in
+    consecutive slices of at most 4096 queries, and no slice crosses
+    ``ready``, so the rest is read only when no query before it is
+    selected.  A slice of 32 or more is compared as one numpy block of
     uniforms read ahead by the stream; on acceptance inside it the stream
-    steps back over the uniforms past the selected query.  Such a source
-    may hold only its first ``queries.ready`` values ready and compute the
-    rest on demand; no slice crosses ``ready``, so the rest is read only
-    when no query before it is selected.  Any other source is consumed
-    lazily, one query at a time and never past the selected index, so
-    callers may pass a generator whose elements are expensive to evaluate.
+    steps back over the uniforms past the selected query.  Any other source
+    (a list, tuple, range, deque or generator) is consumed lazily, one query
+    at a time and never past the selected index, so callers may pass a
+    generator whose elements are expensive to evaluate.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     threshold = tau + sample_laplace(stream, 2.0 / epsilon)
     scale = 4.0 / epsilon
-    if not (isinstance(queries, np.ndarray) or _sliceable(queries)):
+    if not (isinstance(queries, np.ndarray) or hasattr(queries, "ready")):
         consumed = 0
         for value in queries:
             consumed += 1
@@ -280,16 +273,6 @@ def above_threshold(
                 return SvtOutcome(start + index, start + index + 1)
         start += size
     return SvtOutcome(None, length)
-
-
-def _sliceable(queries: object) -> bool:
-    # A source with a length whose slices are numpy arrays.  Lists, tuples,
-    # iterators and sequences that take no slice (a deque) are read one
-    # query at a time.
-    try:
-        return hasattr(queries, "__len__") and isinstance(queries[:0], np.ndarray)
-    except (TypeError, KeyError):
-        return False
 
 
 def _first_above(

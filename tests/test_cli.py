@@ -604,6 +604,29 @@ def test_privacy_parameters_must_be_finite(argv, tmp_path, capsys):
     assert f"{argv[1][2:].replace('-', '_')} must be finite" in err
 
 
+@pytest.mark.parametrize("flag,value,named", [
+    ("--epsilon", "0", "epsilon must be positive and finite"),
+    ("--epsilon", "-1", "epsilon must be positive and finite"),
+    ("--epsilon", "inf", "epsilon must be positive and finite"),
+    ("--epsilon", "nan", "epsilon must be positive and finite"),
+    ("--c", "0", "argument --c: expected a positive integer"),
+    ("--c", "-1", "argument --c: expected a positive integer"),
+])
+@pytest.mark.parametrize("kind", ["ef-packing", "prop-packing"])
+def test_packing_inputs_exit_two_naming_their_flag(kind, flag, value, named, capsys):
+    code, out, err = run_cli(["gen", kind, "--n", "3", "--m", "40", flag, value], capsys)
+    assert code == 2 and out == ""
+    assert named in err
+
+
+def test_fairness_rate_c_must_be_non_negative(tmp_path, capsys):
+    path = write_instance(tmp_path, "i.json", [[1, 0, 1], [0, 1, 0]])
+    argv = ["audit", "fairness-rate", "--instance", path, "--trials", "5", "--c", "-1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert "argument --c: expected a non-negative integer, got '-1'" in err
+
+
 SEEDED = [
     ["gen", "all-zero", "--n", "2", "--m", "3"],
     ["audit", "sensitivity"],

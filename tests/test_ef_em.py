@@ -520,6 +520,24 @@ def test_prepare_memory_is_bounded_by_the_span_bounds_and_weights():
     assert peak < 8 * 2**20
 
 
+def test_score_cache_holds_only_the_last_profile():
+    # Eight distinct profiles of one shape leave one entry's span bounds and
+    # scores behind, not one copy per profile.
+    rows = np.random.default_rng(8).integers(0, 5, size=(8, 3, 150))
+    params = PrivacyParams(epsilon=4.0)
+    tracemalloc.start()
+    try:
+        for block in rows:
+            report = dp_ef_allocate(UtilityProfile.additive(block.tolist()), params, RandomStream(0))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    bounds, scores = scored_candidates(UtilityProfile.additive(rows[-1].tolist()), report.g)
+    entry = sum(array.nbytes for array in (*bounds, scores))
+    assert entry > 2**18
+    assert held < 2 * entry
+
+
 def test_allocator_and_oracles_build_no_candidate_tuple(rng):
     # Every caller outside the exhaustive sensitivity audit iterates the
     # candidates lazily or reads them from the span bounds.

@@ -4,10 +4,11 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpfair.mechanisms import (
+    _READ_AHEAD,
     RandomStream,
     SvtOutcome,
     above_threshold,
@@ -92,6 +93,10 @@ _STREAM_OPS = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(ops=st.lists(_STREAM_OPS, max_size=40), seed=st.integers(min_value=0, max_value=2**32))
+# A scalar run that spends the read-ahead exactly, and one that refills it
+# by one read, each followed by a block read and a direct generator call.
+@example(ops=[("uniform", _READ_AHEAD), ("uniforms", 10), ("random", 5)], seed=5)
+@example(ops=[("uniform", _READ_AHEAD + 1), ("uniforms", 10), ("random", 5)], seed=5)
 def test_read_ahead_equals_one_at_a_time_draws(ops, seed):
     # Scalar reads, block reads, step-backs over (part of) the last read, and
     # direct generator calls, one of which may leave a buffered 32-bit half,
@@ -347,6 +352,35 @@ class _ReadySource:
     def __getitem__(self, key):
         self.reads.append(range(*key.indices(len(self.values))))
         return self.values[key]
+
+
+class _UnreadySource:
+    # A length, numpy slices and iteration, but no `ready`; logs every slice.
+    def __init__(self, values):
+        self.values, self.slices = values, []
+
+    def __len__(self):
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.values.tolist())
+
+    def __getitem__(self, key):
+        self.slices.append(key)
+        return self.values[key]
+
+
+@pytest.mark.parametrize("fired", [5, 4000])
+def test_svt_reads_a_source_without_ready_one_query_at_a_time(fired):
+    values = np.full(5000, -10**9, dtype=np.int64)
+    values[fired:] = 10**9
+    source = _UnreadySource(values)
+    stream, twin = RandomStream(14), RandomStream(14)
+    outcome = above_threshold(stream, source, 0.0, 1.0)
+    assert outcome == reference_above_threshold(twin, values.tolist(), 0.0, 1.0)
+    assert outcome == SvtOutcome(index=fired, queries_consumed=fired + 1)
+    assert stream.generator.bit_generator.state == twin.generator.bit_generator.state
+    assert source.slices == []
 
 
 @settings(max_examples=200, deadline=None)
