@@ -553,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     packing = [
         *size, arg("--epsilon", type=float, default=None),
         arg("--c", type=_positive_int, default=None),
-        arg("--T", type=int, default=None),
+        arg("--T", type=_positive_int, default=None),
         arg("--pick", default=None, help="emit one family member: 'base' or 1..T"),
     ]
     ratio = [

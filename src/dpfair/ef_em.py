@@ -319,13 +319,22 @@ class EfSampler:
 
     def allocation(self, index: int) -> ConnectedAllocation:
         """Candidate ``index``, the ``index``-th of :func:`enumerate_connected_allocations`."""
-        spans = zip(*(bound[:, index].tolist() for bound in self.bounds))
-        return ConnectedAllocation(spans=tuple((s + 1, e) if s != e else None for s, e in spans))
+        (allocation,) = self._allocations(np.array([index]))
+        return allocation
+
+    def _allocations(self, indices: np.ndarray) -> list[ConnectedAllocation]:
+        # The candidates at `indices`, from one slice of each bound array.
+        starts, ends = (bound[:, indices].T.tolist() for bound in self.bounds)
+        return [
+            ConnectedAllocation(spans=tuple((s + 1, e) if s != e else None for s, e in zip(*spans)))
+            for spans in zip(starts, ends)
+        ]
 
     def counts(self, stream: RandomStream, k: int) -> Counter:
         """How often each allocation occurs among ``k`` draws in turn from one stream."""
         tally = np.bincount(self.draw_many(stream, k), minlength=len(self.scores))
-        return Counter({self.allocation(i): int(tally[i]) for i in np.flatnonzero(tally).tolist()})
+        drawn = np.flatnonzero(tally)
+        return Counter(dict(zip(self._allocations(drawn), tally[drawn].tolist())))
 
     def report(self, index: int) -> EfRunReport:
         """The run report of candidate ``index``, with its certified guarantee."""

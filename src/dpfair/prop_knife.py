@@ -213,15 +213,41 @@ def _breakpoints(
     # below 2**62 after weighting, or the rows are kept as Python ints.
     fits = max(map(max, rows)) * len(rows) * size * max(n_left, n_right) < 2**62
     values = np.array(rows, dtype=np.int64 if fits else object)
-    # While j < g_b + c the left piece keeps nothing, so t = c is accepted
-    # exactly when the right piece [j + 1, size) holds at most g_b - c
-    # positive items; that count falls as j grows.
-    positives = np.zeros(values.shape, dtype=np.int64)
-    positives[:, :-1] = np.cumsum(values[:, :0:-1] > 0, axis=1)[:, ::-1]
-    first = np.array([np.searchsorted(-row, c - g_b) for row in positives])
-    early = first < g_b + c
-    below = np.where(early, first, g_b + c)
-    above = np.where(early, first, size - 1 - g_b + c)
+    # The count bracket.  Let lo_v and hi_v be a row's least and greatest
+    # positive values and T its count of positive items.  A piece holding p
+    # positive items, truncated by k, is worth between lo_v * max(p - k, 0)
+    # and hi_v * max(p - k, 0).  At cut j the left piece [0, j] holds
+    # P = counts[j] of them and is truncated by a = g_b + c, the right piece
+    # holds T - P and is truncated by b = g_b - c, and t = c is accepted
+    # when n_right times the left's value is at least n_left times the
+    # right's.  So t = c is surely rejected while x * max(P - a, 0) <
+    # y * max(T - P - b, 0) for (x, y) = (n_right * hi_v, n_left * lo_v),
+    # and surely accepted once x * max(P - a, 0) >= y * max(T - P - b, 0)
+    # for (x, y) = (n_right * lo_v, n_left * hi_v).  The left side grows
+    # with P and the right side falls, so the least P with left >= right
+    # is min(need, ceil((y * need + x * a) / (x + y))) with need =
+    # max(T - b, 0).  P grows with j, so the first cut holding that many
+    # positive items bounds H(c): from below for the first (x, y), from
+    # above for the second.  Where a row's positive values are all equal
+    # the two agree and leave nothing to bisect.
+    positive = values > 0
+    counts = np.cumsum(positive, axis=1)
+    # hi_v is 1 on an all-zero row, whose need is 0, so that x + y > 0.
+    hi_v = np.maximum(values.max(axis=1, keepdims=True), 1)
+    lo_v = np.where(positive, values, hi_v).min(axis=1, keepdims=True)
+    x = n_right * np.stack([hi_v, lo_v])
+    y = n_left * np.stack([lo_v, hi_v])
+    # A left piece truncated by the range length keeps nothing, as by any
+    # larger a, so a is clamped to it; then y * need + x * a is at most
+    # 2 * max(n_left, n_right) * hi_v * size, below 2**63 where `fits`.
+    a = np.minimum(g_b + c, size)
+    need = np.maximum(counts[:, -1:] - g_b + c, 0)
+    least = np.minimum(need, -(-(y * need + x * a) // (x + y))).astype(np.int64)
+    below, above = np.stack(
+        [np.searchsorted(row, p) for row, p in zip(counts, least.swapaxes(0, 1))], axis=1
+    )
+    # At j = size - 1 - g_b + c the right piece keeps nothing.
+    above = np.minimum(above, size - 1 - g_b + c)
     row, col = np.nonzero(below < above)
     if len(row):
         wavelet = _Wavelet(values.ravel())

@@ -611,6 +611,8 @@ def test_privacy_parameters_must_be_finite(argv, tmp_path, capsys):
     ("--epsilon", "nan", "epsilon must be positive and finite"),
     ("--c", "0", "argument --c: expected a positive integer"),
     ("--c", "-1", "argument --c: expected a positive integer"),
+    ("--T", "0", "argument --T: expected a positive integer, got '0'"),
+    ("--T", "-2", "argument --T: expected a positive integer, got '-2'"),
 ])
 @pytest.mark.parametrize("kind", ["ef-packing", "prop-packing"])
 def test_packing_inputs_exit_two_naming_their_flag(kind, flag, value, named, capsys):

@@ -644,10 +644,19 @@ def test_cut_queries_group_agents_under_both_bounds(monkeypatch, size, g_b, grou
 
 
 @pytest.mark.parametrize("g_b", [40, 400, 1003])
-def test_breakpoints_on_a_row_of_many_distinct_values(g_b):
+def test_breakpoints_on_a_row_of_many_distinct_values(monkeypatch, g_b):
     # 1000 distinct values below 10**6 give the wavelet ten levels.  At
-    # g_b = 40 and 400 the cuts past g_b + c are searched on it; g_b = 1003
-    # is past the range, where counts of positive items settle every cut.
+    # g_b = 40 and 400 the count bracket leaves cuts open, and they are
+    # searched on it; at g_b = 1003 the row holds at most 2 * g_b positive
+    # items, and counts of them settle every cut.
+    calls = []
+    original = prop_knife._bisect
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return original(*args)
+
+    monkeypatch.setattr(prop_knife, "_bisect", counted)
     rng = np.random.default_rng(g_b)
     row = [int(v) for v in rng.choice(10**6, size=1000, replace=False)]
     p = UtilityProfile.additive([row])
@@ -656,6 +665,67 @@ def test_breakpoints_on_a_row_of_many_distinct_values(g_b):
     (cuts,) = prop_knife._cut_queries(p, (1,), lo, hi, g_b, 3, 2)
     assert list(cuts) == expected
     assert len(set(expected)) > 10
+    assert bool(calls) == (sum(v > 0 for v in row) > 2 * g_b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    distinct=st.integers(min_value=0, max_value=3),
+    scale=st.sampled_from([1, 2**40, 2**61]),
+    size=st.integers(min_value=1, max_value=30),
+    agents=st.integers(min_value=1, max_value=3),
+    n_left=st.integers(min_value=1, max_value=4),
+    n_right=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+def test_count_bracket_cut_values_equal_f_value(
+    distinct, scale, size, agents, n_left, n_right, data
+):
+    # Rows whose positive values take at most three distinct values, all
+    # zero at distinct = 0.  Values near 2**61 put the rows into object
+    # dtype.  Values near 2**40 with g_b up to 2**24 stay int64, though
+    # n * hi_v * (L + 2 * g_b) passes 2**63 unless a is clamped to L.
+    # g_b runs from small to past the range.  With one distinct positive
+    # value, or at most 2 * g_b positive items a row, the counts settle
+    # every cut, so nothing is bisected.
+    if scale == 2**61:
+        pool = [2**61 - v for v in range(distinct)]
+    else:
+        pool = [scale * (v + 1) for v in range(distinct)]
+    items = st.sampled_from([0, *pool])
+    p = UtilityProfile.additive(
+        [data.draw(st.lists(items, min_size=size, max_size=size)) for _ in range(agents)]
+    )
+    g_b = data.draw(
+        st.integers(min_value=1, max_value=size + 3)
+        | st.integers(min_value=2**20, max_value=2**24)
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        if distinct <= 1 or all(sum(v > 0 for v in row) <= 2 * g_b for row in p.values):
+            patch.setattr(prop_knife, "_bisect", None)
+        cuts = prop_knife._cut_queries(p, p.agents, 1, size, g_b, n_left, n_right)
+        values = [list(cut) for cut in cuts]
+    assert values == [
+        [f_value(p, agent, 1, size, h, g_b, n_left, n_right) for h in range(1, size + 1)]
+        for agent in p.agents
+    ]
+
+
+def test_knife_allocate_shape_settles_every_cut_by_counts(monkeypatch):
+    # Bernoulli rows have one positive value, so neither a wavelet nor a
+    # bisection is needed at the knife_allocate benchmark's shape.
+    def unused(*args):
+        raise AssertionError("a Bernoulli row left a cut open")
+
+    params = PrivacyParams(epsilon=2.0, beta=0.1, svt_constant=1.0)
+    profiles = [bernoulli_profile(5, 1500, RandomStream(seed, (1,))) for seed in range(3)]
+    expected = [
+        dp_moving_knife(p, params, RandomStream(seed, (2,))) for seed, p in enumerate(profiles)
+    ]
+    monkeypatch.setattr(prop_knife, "_bisect", unused)
+    monkeypatch.setattr(prop_knife, "_Wavelet", unused)
+    for seed, p in enumerate(profiles):
+        assert dp_moving_knife(p, params, RandomStream(seed, (2,))) == expected[seed]
 
 
 def _logged_extensions(monkeypatch):
@@ -746,13 +816,14 @@ def test_knife_searches_about_half_the_values_of_c(monkeypatch):
     # At the knife_allocate benchmark's shape the SVTs fire below g_b / 2,
     # so the c past it are rarely searched.
     searched = []
-    original = prop_knife._bisect
+    original = prop_knife._breakpoints
 
-    def counted(wavelet, offset, size, c, *rest):
-        searched.append(len(c))
-        return original(wavelet, offset, size, c, *rest)
+    def counted(*args):
+        points = original(*args)
+        searched.append(points.size)  # rows times values of c
+        return points
 
-    monkeypatch.setattr(prop_knife, "_bisect", counted)
+    monkeypatch.setattr(prop_knife, "_breakpoints", counted)
     params = PrivacyParams(epsilon=2.0, beta=0.1, svt_constant=1.0)
     for seed in range(3):
         p = bernoulli_profile(5, 1500, RandomStream(seed, (1,)))
