@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -45,7 +46,9 @@ class UtilityProfile:
     ``values[i-1][j-1] / scale`` is agent ``i``'s value for item ``j``.
     For ``kind == "general"``, ``tables[i-1][mask]`` is agent ``i``'s scaled
     value for the subset encoded by ``mask`` and the ``values`` matrix must
-    agree with the singleton entries of the tables.
+    agree with the singleton entries of the tables.  Every value is stored as
+    a Python ``int`` through ``operator.index``, which takes numpy integers
+    and raises ``TypeError`` on 0.7, "2" or None.
     """
 
     n: int
@@ -66,8 +69,10 @@ class UtilityProfile:
             raise ValueError(f"unknown utility kind: {self.kind!r}")
         if len(self.values) != self.n or any(len(row) != self.m for row in self.values):
             raise ValueError("values matrix must be exactly n x m")
-        if any(v < 0 for row in self.values for v in row):
+        values = tuple(tuple(map(operator.index, row)) for row in self.values)
+        if any(min(row, default=0) < 0 for row in values):
             raise ValueError("utilities must be nonnegative")
+        object.__setattr__(self, "values", values)
         if self.kind == "general":
             if self.m > GENERAL_TABLE_MAX_ITEMS:
                 raise ValueError(
@@ -75,6 +80,8 @@ class UtilityProfile:
                 )
             if self.tables is None or len(self.tables) != self.n:
                 raise ValueError("general profiles need one table per agent")
+            tables = tuple(tuple(map(operator.index, table)) for table in self.tables)
+            object.__setattr__(self, "tables", tables)
             size = 1 << self.m
             for i, table in enumerate(self.tables):
                 if len(table) != size:
@@ -101,15 +108,13 @@ class UtilityProfile:
 
     @staticmethod
     def additive(values: Sequence[Sequence[int]], scale: int = 1) -> "UtilityProfile":
-        vals = tuple(tuple(int(v) for v in row) for row in values)
-        n = len(vals)
-        m = len(vals[0]) if vals else 0
-        return UtilityProfile(n=n, m=m, scale=scale, values=vals)
+        rows = tuple(values)
+        return UtilityProfile(n=len(rows), m=len(rows[0]) if rows else 0, scale=scale, values=rows)
 
     @staticmethod
     def general(tables: Sequence[Sequence[int]], scale: int = 1) -> "UtilityProfile":
         """Build a general-kind profile; singleton values are read off the tables."""
-        tabs = tuple(tuple(int(v) for v in table) for table in tables)
+        tabs = tuple(tables)
         n = len(tabs)
         if n == 0:
             raise ValueError("need at least one agent")
@@ -126,7 +131,7 @@ def _check_monotone_table(table: Sequence[int], m: int, agent: int) -> None:
     # gives full monotonicity over the subset lattice.
     if table[0] != 0:
         raise ValueError(f"table for agent {agent} must assign 0 to the empty set")
-    if any(v < 0 for v in table):
+    if min(table) < 0:
         raise ValueError(f"table for agent {agent} has negative entries")
     for mask in range(len(table)):
         for j in range(m):

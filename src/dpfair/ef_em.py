@@ -131,9 +131,9 @@ def _span_bounds(m: int, n: int) -> SpanBounds:
     return starts, ends
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=0)  # holds nothing; its cache_info() counts the builds
 def connected_allocation_tuple(m: int, n: int) -> tuple[ConnectedAllocation, ...]:
-    """Materialized candidate set, cached per shape, for exhaustive audits of tiny shapes."""
+    """Materialized candidate set, built on every call, for exhaustive audits of tiny shapes."""
     return tuple(enumerate_connected_allocations(m, n))
 
 
@@ -176,8 +176,8 @@ def scored_candidates(
 ) -> tuple[SpanBounds, np.ndarray]:
     """Every connected allocation's :func:`_span_bounds` and :func:`score`.
 
-    Both are read-only arrays in candidate order.  The last ``(profile, g)``
-    is cached, for callers that repeat :func:`dp_ef_allocate` on one profile.
+    Both are read-only arrays in candidate order, computed on every call;
+    repeated draws on one profile share them through :class:`EfSampler`.
     """
     capped_candidates(profile, enumeration_cap)  # raises past the cap
     if g < 1:
@@ -185,7 +185,7 @@ def scored_candidates(
     return _score_cached(profile, g)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=0)  # holds nothing; its cache_info() counts the scorings
 def _score_cached(profile: UtilityProfile, g: int) -> tuple[SpanBounds, np.ndarray]:
     bounds = _span_bounds(profile.m, profile.n)
     if profile.kind == "additive" and max(map(sum, profile.values)) < 2**63:

@@ -27,8 +27,7 @@ def bernoulli_profile(n: int, m: int, stream: RandomStream) -> UtilityProfile:
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     bits = stream.generator.integers(0, 2, size=(n, m))
-    values = tuple(tuple(int(v) for v in row) for row in bits)
-    return UtilityProfile(n=n, m=m, scale=1, values=values)
+    return UtilityProfile(n=n, m=m, scale=1, values=bits)
 
 
 def all_zero_profile(n: int, m: int) -> UtilityProfile:
@@ -269,7 +268,7 @@ def search_agent_level_witness(
     row_stream = stream.child(1).generator
     best: Optional[AgentLevelWitness] = None
     for _ in range(candidate_rows):
-        row = tuple(int(v) for v in row_stream.integers(0, 2, size=m))
+        row = row_stream.integers(0, 2, size=m)
         for agent in range(1, n + 1):
             values = tuple(
                 row if i == agent else base.values[i - 1] for i in range(1, n + 1)

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 
-# A scalar read that refills a stream's buffer draws _READ_AHEAD doubles.
+# A read that refills a stream's buffer draws at least _READ_AHEAD doubles.
 _READ_AHEAD = 256
 
 
@@ -30,12 +30,12 @@ class RandomStream:
     read come from a read-ahead buffer: ``generator.random(size)`` yields
     the same doubles as ``size`` one-at-a-time draws, so a read is the next
     buffered double and a step back is a move of the read position.  A
-    scalar read past the buffer draws the next 256 doubles; a block read
-    past it draws exactly its block.  The
-    :attr:`generator` property first puts the generator where one-at-a-time
-    draws would have left it, so buffered reads and direct generator calls
-    interleave as if every uniform had been drawn alone.  A generator taken
-    from the property stays in step only until the next buffered read.
+    read past the buffer draws the next 256 doubles, or its whole block if
+    that is longer.  The :attr:`generator` property first puts the
+    generator where one-at-a-time draws would have left it, so buffered
+    reads and direct generator calls interleave as if every uniform had
+    been drawn alone.  A generator taken from the property stays in step
+    only until the next buffered read.
     """
 
     def __init__(self, seed: int, stream_id: int | tuple[int, ...] = ()):
@@ -44,11 +44,11 @@ class RandomStream:
             stream_id = (stream_id,)
         self.path = tuple(int(x) for x in stream_id)
         self._generator: Optional[np.random.Generator] = None
-        # The buffer as an array, and as a list for scalar reads (None when
-        # a block read drew it), the read position in it and the generator's
-        # state before it was drawn (None while no buffer is held).
+        # The buffer as a read-only array, and as a list for scalar reads,
+        # the read position in it and the generator's state before it was
+        # drawn (None while no buffer is held).
         self._block: np.ndarray = np.empty(0)
-        self._values: Optional[list[float]] = None
+        self._values: list[float] = []
         self._position = 0
         self._saved: Optional[dict] = None
 
@@ -70,37 +70,33 @@ class RandomStream:
                 self._generator.bit_generator.state = self._saved
                 self._generator.random(self._position)
             self._saved = None
-            self._block, self._values, self._position = np.empty(0), None, 0
+            self._block, self._values, self._position = np.empty(0), [], 0
         return self._generator
 
-    def _reserve(self, count: int, listed: bool) -> int:
-        # Buffer at least `count` unread uniforms, as a list too if `listed`,
-        # and return the read position.  A refill restarts the buffer at the
-        # read position, so the unread tail is read again from the new one.
-        # A scalar refill reads _READ_AHEAD doubles ahead; a block read draws
-        # its block alone.
+    def _reserve(self, count: int) -> int:
+        # Buffer `count` unread uniforms and return the read position.  A
+        # refill restarts the buffer there, so the unread tail is redrawn.
         position = self._position
-        if position + count <= len(self._block) and (self._values is not None or not listed):
+        if position + count <= len(self._block):
             return position
         generator = self._sync()
         self._saved = generator.bit_generator.state
-        self._block = generator.random(max(count, _READ_AHEAD) if listed else count)
-        self._values = self._block.tolist() if listed else None
+        self._block = generator.random(max(count, _READ_AHEAD))
+        self._block.flags.writeable = False
+        self._values = self._block.tolist()
         return 0
 
     def uniform(self) -> float:
         """The next uniform in [0, 1), as ``generator.random()`` would draw it."""
-        position = self._reserve(1, True)
+        position = self._reserve(1)
         self._position = position + 1
         return self._values[position]
 
     def uniforms(self, count: int) -> np.ndarray:
         """The next ``count`` uniforms, as a read-only view of the buffer."""
-        position = self._reserve(count, False)
+        position = self._reserve(count)
         self._position = position + count
-        view = self._block[position : position + count]
-        view.flags.writeable = False
-        return view
+        return self._block[position : position + count]
 
     def step_back(self, count: int) -> None:
         """Unread ``count`` uniforms of the last read, so they are read again next."""
@@ -257,7 +253,7 @@ def above_threshold(
         block = queries[start : ready if start < ready < stop else stop]
         size = len(block)
         if size < _SVT_SCALAR:
-            first = position = stream._reserve(size, True)
+            first = position = stream._reserve(size)
             uniforms = stream._values
             for value in block.tolist():
                 noise = _laplace(uniforms[position], scale)

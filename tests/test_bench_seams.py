@@ -1,17 +1,20 @@
 """The names the benchmark in ``bench/`` reads from the package still exist.
 
-``bench/worker.py`` reads two caches' ``cache_info()`` in every run, and
+``bench/worker.py`` reads two call counters' ``cache_info()`` in every run, and
 ``bench/tracing.py`` rebinds the traced functions in every module that looks
 them up.  A change that renames or drops one of them fails here, in the test
 suite, rather than in every benchmark run.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
-from dpfair import ef_em
+from dpfair import cli, ef_em
+from dpfair.cli import read_instance
 from dpfair.core import PrivacyParams
+from dpfair.ef_em import dp_ef_allocate
 from dpfair.generators import bernoulli_profile
 from dpfair.mechanisms import RandomStream
 from dpfair.prop_knife import dp_moving_knife
@@ -38,10 +41,20 @@ def _bindings():
     return {(id(ns), attr): value for ns in modules + classes for attr, value in vars(ns).items()}
 
 
-def test_worker_cache_counters_exist():
+def test_worker_cache_counters_exist(tmp_path, capsys):
+    # The counters only count: after an allocation, an oracle and the
+    # exhaustive score audit, neither holds an entry.
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps({"n": 2, "m": 3, "scale": 1, "values": [[1, 0, 2], [2, 1, 0]]}))
+    dp_ef_allocate(read_instance(str(path)), PrivacyParams(epsilon=2.0), RandomStream(0))
+    assert cli.run(["oracle", "min-ef", "--instance", str(path)]) == cli.EXIT_OK
+    argv = ["audit", "sensitivity", "--which", "score", "--n", "2", "--m", "3", "--g", "2"]
+    assert cli.run(argv) == cli.EXIT_OK
+    capsys.readouterr()
     for cache in (ef_em.connected_allocation_tuple, ef_em._score_cached):
         info = cache.cache_info()
         assert info.hits >= 0 and info.misses >= 0
+        assert (info.maxsize, info.currsize) == (0, 0)
 
 
 def test_tracer_installs_and_its_undo_restores_every_binding():

@@ -18,6 +18,7 @@ from dpfair.core import (
     least_true,
     min_ef_c,
     min_prop_c,
+    scaled_bundle,
     scaled_truncated,
     threshold_counts,
     top_k_utility,
@@ -70,6 +71,44 @@ def test_general_profile_validation():
     with pytest.raises(ValueError):
         UtilityProfile(n=1, m=17, scale=1, values=((0,) * 17,), kind="general",
                        tables=((0,) * (1 << 17),))
+
+
+def test_non_integer_values_raise_type_error():
+    # int() would truncate 0.7 to 0 and parse "2"; construction refuses both.
+    with pytest.raises(TypeError):
+        UtilityProfile.additive([[0.7, 1]])
+    with pytest.raises(TypeError):
+        UtilityProfile.additive([["2", 1]])
+    with pytest.raises(TypeError):
+        UtilityProfile.general([(0, 1.5, 2, 3)])
+    with pytest.raises(TypeError):
+        UtilityProfile(n=1, m=2, scale=1, values=((0.5, 1),))
+
+
+def test_every_integer_container_gives_one_profile():
+    rows = [[3, 0, 2], [1, 4, 0]]
+    profiles = [
+        UtilityProfile.additive(np.array(rows, dtype=np.int64)),
+        UtilityProfile.additive([np.array(row, dtype=np.int64) for row in rows]),
+        UtilityProfile(n=2, m=3, scale=1, values=rows),
+        UtilityProfile.additive(tuple(map(tuple, rows))),
+    ]
+    assert all(p == profiles[0] and hash(p) == hash(profiles[0]) for p in profiles)
+    for p in profiles:
+        assert type(p.values) is tuple and all(type(row) is tuple for row in p.values)
+        assert all(type(v) is int for row in p.values for v in row)
+    general = UtilityProfile.general(np.array([[0, 2, 3, 4]], dtype=np.int64))
+    assert general == UtilityProfile.general([(0, 2, 3, 4)])
+    assert all(type(v) is int for v in general.tables[0] + general.values[0])
+    flags = UtilityProfile.additive([[True, False]])
+    assert flags.values == ((1, 0),) and all(type(v) is int for v in flags.values[0])
+
+
+def test_int64_rows_near_2_62_sum_exactly():
+    # An int64 sum of these wraps (numpy warns, and warnings are errors).
+    row = np.full((1, 3), 2**62 + 1, dtype=np.int64)
+    p = UtilityProfile(n=1, m=3, scale=1, values=row)
+    assert scaled_bundle(p, 1, (1, 2, 3)) == 3 * 2**62 + 3
 
 
 def test_binary_predicate():

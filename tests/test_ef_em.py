@@ -481,16 +481,18 @@ def test_exact_distribution_is_pinned():
         assert probability.hex() == pinned
 
 
-def test_score_cache_holds_one_vector_per_profile_and_g(tmp_path):
+def test_score_counter_holds_nothing_and_scores_every_call(tmp_path):
+    # _score_cached only counts scorings: two calls on one profile are two
+    # misses, and nothing stays held.
     cache = ef_em._score_cached
-    assert cache.cache_info().maxsize <= 16
     p = UtilityProfile.additive([[3, 1, 4, 1, 5], [9, 2, 6, 5, 3]])
     params = PrivacyParams(epsilon=3.0, beta=0.1)
     before = cache.cache_info()
     first = dp_ef_allocate(p, params, RandomStream(1))
     second = dp_ef_allocate(p, params, RandomStream(2))
     after = cache.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert (after.misses - before.misses, after.hits - before.hits) == (2, 0)
+    assert (after.maxsize, after.currsize) == (0, 0)
     assert type(first.score) is int and type(second.score) is int
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"n": 2, "m": 5, "scale": 1, "values": [list(r) for r in p.values]}))
@@ -520,9 +522,9 @@ def test_prepare_memory_is_bounded_by_the_span_bounds_and_weights():
     assert peak < 8 * 2**20
 
 
-def test_score_cache_holds_only_the_last_profile():
-    # Eight distinct profiles of one shape leave one entry's span bounds and
-    # scores behind, not one copy per profile.
+def test_score_counter_holds_no_profile():
+    # Eight distinct profiles of one shape leave no span bounds or scores
+    # behind.
     rows = np.random.default_rng(8).integers(0, 5, size=(8, 3, 150))
     params = PrivacyParams(epsilon=4.0)
     tracemalloc.start()
@@ -535,7 +537,16 @@ def test_score_cache_holds_only_the_last_profile():
     bounds, scores = scored_candidates(UtilityProfile.additive(rows[-1].tolist()), report.g)
     entry = sum(array.nbytes for array in (*bounds, scores))
     assert entry > 2**18
-    assert held < 2 * entry
+    assert held < entry // 4
+    assert ef_em._score_cached.cache_info().currsize == 0
+
+
+def test_list_valued_profile_runs_through_the_allocator():
+    # Rows given as lists become tuples of ints, so the profile hashes.
+    rows = [[3, 1, 4, 1, 5], [9, 2, 6, 5, 3]]
+    params = PrivacyParams(epsilon=3.0, beta=0.1)
+    listed = dp_ef_allocate(UtilityProfile(n=2, m=5, scale=1, values=rows), params, RandomStream(4))
+    assert listed == dp_ef_allocate(UtilityProfile.additive(rows), params, RandomStream(4))
 
 
 def test_allocator_and_oracles_build_no_candidate_tuple(rng):
