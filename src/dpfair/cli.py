@@ -69,7 +69,7 @@ def profile_to_dict(profile: UtilityProfile) -> dict:
         "m": profile.m,
         "scale": profile.scale,
         "kind": profile.kind,
-        "values": [list(row) for row in profile.values],
+        "values": profile.values.tolist(),
     }
     if profile.tables is not None:
         doc["tables"] = [list(table) for table in profile.tables]
@@ -88,12 +88,12 @@ def profile_from_dict(doc: dict, where: str = "instance") -> UtilityProfile:
             raise TypeError(f"{name} must be a JSON integer, got {json.dumps(value, default=repr)}")
         return value
 
-    def rows(field: str) -> tuple[tuple[int, ...], ...]:
+    def rows(field: str) -> list[list[int]]:
         # Named by their 0-based positions in the JSON arrays, as in values[0][2].
-        return tuple(
-            tuple(integer(v, f"{field}[{i}][{j}]") for j, v in enumerate(row))
+        return [
+            [integer(v, f"{field}[{i}][{j}]") for j, v in enumerate(row)]
             for i, row in enumerate(doc[field])
-        )
+        ]
 
     try:
         return UtilityProfile(

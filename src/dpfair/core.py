@@ -16,13 +16,17 @@ Two utility kinds are supported:
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 
 GENERAL_TABLE_MAX_ITEMS = 16
@@ -39,22 +43,24 @@ class Adjacency(str, Enum):
     AGENT_ITEM_LEVEL = "agent_item_level"  # one agent's value for one item may change
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UtilityProfile:
     """Exact utilities of ``n`` agents over ``m`` items.
 
-    ``values[i-1][j-1] / scale`` is agent ``i``'s value for item ``j``.
+    ``values[i-1, j-1] / scale`` is agent ``i``'s value for item ``j``.
     For ``kind == "general"``, ``tables[i-1][mask]`` is agent ``i``'s scaled
     value for the subset encoded by ``mask`` and the ``values`` matrix must
-    agree with the singleton entries of the tables.  Every value is stored as
-    a Python ``int`` through ``operator.index``, which takes numpy integers
-    and raises ``TypeError`` on 0.7, "2" or None.
+    agree with the singleton entries of the tables.  ``values`` is one
+    read-only ``(n, m)`` copy of the input: int64 where every value fits,
+    and otherwise an object array of Python ints.  Integer and bool cells
+    of any container are accepted; 0.7, "2" or None raise ``TypeError``.
+    Table entries are stored as Python ints through ``operator.index``.
     """
 
     n: int
     m: int
     scale: int
-    values: tuple[tuple[int, ...], ...]
+    values: np.ndarray
     kind: str = "additive"
     tables: Optional[tuple[tuple[int, ...], ...]] = None
 
@@ -69,9 +75,10 @@ class UtilityProfile:
             raise ValueError(f"unknown utility kind: {self.kind!r}")
         if len(self.values) != self.n or any(len(row) != self.m for row in self.values):
             raise ValueError("values matrix must be exactly n x m")
-        values = tuple(tuple(map(operator.index, row)) for row in self.values)
-        if any(min(row, default=0) < 0 for row in values):
+        values = _integer_matrix(self.values, (self.n, self.m))
+        if values.size and values.min() < 0:
             raise ValueError("utilities must be nonnegative")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if self.kind == "general":
             if self.m > GENERAL_TABLE_MAX_ITEMS:
@@ -83,17 +90,40 @@ class UtilityProfile:
             tables = tuple(tuple(map(operator.index, table)) for table in self.tables)
             object.__setattr__(self, "tables", tables)
             size = 1 << self.m
-            for i, table in enumerate(self.tables):
+            for i, (table, row) in enumerate(zip(self.tables, values.tolist())):
                 if len(table) != size:
                     raise ValueError(f"table for agent {i + 1} must have 2^m entries")
                 _check_monotone_table(table, self.m, i + 1)
                 for j in range(self.m):
-                    if table[1 << j] != self.values[i][j]:
+                    if table[1 << j] != row[j]:
                         raise ValueError(
                             f"values[{i + 1}][{j + 1}] disagrees with table singleton"
                         )
         elif self.tables is not None:
             raise ValueError("additive profiles must not carry tables")
+
+    def __eq__(self, other):
+        if not isinstance(other, UtilityProfile):
+            return NotImplemented
+        return (self.n, self.m, self.scale, self.kind, self.tables) == (
+            other.n, other.m, other.scale, other.kind, other.tables
+        ) and np.array_equal(self.values, other.values)
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.scale, self.kind, self.tables, self._digest))
+
+    @cached_property
+    def _digest(self) -> int:
+        # Equal values share a dtype, so equal profiles share a digest.  The
+        # cells of an object array are hashed as ints: its bytes are pointers.
+        if self.values.dtype == object:
+            return hash(tuple(self.values.flat))
+        return int.from_bytes(hashlib.blake2b(self.values.tobytes(), digest_size=8).digest())
+
+    @cached_property
+    def max_value(self) -> int:
+        """The largest scaled value, 0 when there are no items; read once."""
+        return int(self.values.max(initial=0))
 
     @property
     def items(self) -> range:
@@ -104,7 +134,7 @@ class UtilityProfile:
         return range(1, self.n + 1)
 
     def is_binary(self) -> bool:
-        return all(v in (0, self.scale) for row in self.values for v in row)
+        return bool(((self.values == 0) | (self.values == self.scale)).all())
 
     @staticmethod
     def additive(values: Sequence[Sequence[int]], scale: int = 1) -> "UtilityProfile":
@@ -122,8 +152,33 @@ class UtilityProfile:
         m = size.bit_length() - 1
         if 1 << m != size:
             raise ValueError("table length must be a power of two")
-        vals = tuple(tuple(table[1 << j] for j in range(m)) for table in tabs)
+        vals = [[table[1 << j] for j in range(m)] for table in tabs]
         return UtilityProfile(n=n, m=m, scale=scale, values=vals, kind="general", tables=tabs)
+
+
+def _integer_matrix(cells, shape: tuple[int, int]) -> np.ndarray:
+    # A fresh (n, m) array of the cells: int64 where every value fits in it,
+    # else Python ints.  Bools count as 0 and 1; other cells that are not
+    # integers raise TypeError.
+    try:
+        array = np.asarray(cells)
+        if array.dtype.kind not in "biu":
+            # Floats, strings and None, but also ints past int64 that numpy
+            # turned into floats: each cell is read on its own below.
+            array = np.array(cells, dtype=object)
+    except ValueError as exc:  # a cell is itself a sequence
+        raise TypeError(f"utility values must be integers: {exc}") from exc
+    if array.size == 0:
+        return np.zeros(shape, dtype=np.int64)
+    if array.shape != shape:
+        raise TypeError("utility values must be integers, not sequences")
+    # uint64 may hold 2**63 and more, which int64 would wrap.
+    if array.dtype.kind in "bi" or (array.dtype.kind == "u" and array.max() < 2**63):
+        return array.astype(np.int64, order="C")
+    flat = [operator.index(v) for v in array.flat]
+    if -(2**63) <= min(flat) and max(flat) < 2**63:
+        return np.array(flat, dtype=np.int64).reshape(shape)
+    return np.array(flat, dtype=object).reshape(shape)
 
 
 def _check_monotone_table(table: Sequence[int], m: int, agent: int) -> None:
@@ -240,8 +295,8 @@ def scaled_bundle(profile: UtilityProfile, agent: int, items: Iterable[int]) -> 
     _check_agent(profile, agent)
     items = _as_item_tuple(profile, items)
     if profile.kind == "additive":
-        row = profile.values[agent - 1]
-        return sum(row[j - 1] for j in items)
+        row = profile.values[agent - 1].tolist()  # Python ints: an int64 sum could wrap
+        return sum([row[j - 1] for j in items])
     return profile.tables[agent - 1][_mask_of(items)]
 
 
@@ -259,8 +314,8 @@ def scaled_truncated(profile: UtilityProfile, agent: int, items: Iterable[int], 
     items = _as_item_tuple(profile, items)
     drop = min(k, len(items))
     if profile.kind == "additive":
-        row = profile.values[agent - 1]
-        vals = sorted((row[j - 1] for j in items), reverse=True)
+        row = profile.values[agent - 1].tolist()
+        vals = sorted([row[j - 1] for j in items], reverse=True)
         return sum(vals[drop:])
     table = profile.tables[agent - 1]
     full = _mask_of(items)
@@ -269,26 +324,29 @@ def scaled_truncated(profile: UtilityProfile, agent: int, items: Iterable[int], 
     )
 
 
-def threshold_counts(values: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
-    """An additive row as weighted thresholds, for truncating any interval of it.
+def threshold_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of an additive profile's ``values`` as weighted thresholds.
 
-    One ``(w, c)`` per distinct positive value ``v``, ascending: ``w`` is ``v``
-    minus the next lower one (or 0), and ``c[j]`` counts the items of
-    ``values[:j]`` worth at least ``v``.  The ``k`` largest items of
-    ``values[s:e]`` take ``min(k, c[e] - c[s])`` off every count, so its
-    :func:`scaled_truncated` value is ``sum(w * max(c[e] - c[s] - k, 0))``;
-    counts fall as ``v`` rises, so each term after a zero one is zero.
-    The table holds ``D * (len(values) + 1)`` counts for ``D`` distinct
-    positive values, so it suits short rows such as the EF scorer's; the
-    moving knife's long ranges use a wavelet matrix instead, of
-    ``len(values) * ceil(log2 D)`` entries.
+    Returns ``(owner, w, c)`` with one entry per distinct positive value
+    ``v`` of each row, by row and then ascending ``v``: ``owner`` is the
+    row, ``w`` is ``v`` minus the row's next lower value (or 0), and
+    ``c[d, j]`` counts the items of ``values[owner[d], :j]`` worth at least
+    ``v``.  The ``k`` largest items of ``values[i, s:e]`` take ``min(k, c[d,
+    e] - c[d, s])`` off every count of row ``i``, so its
+    :func:`scaled_truncated` value is the sum of ``w * max(c[:, e] - c[:,
+    s] - k, 0)`` over that row's entries; counts fall as ``v`` rises, so
+    each term after a zero one is zero.  The table holds ``D * (m + 1)``
+    counts for ``D`` distinct positive values in all, so it suits short rows
+    such as the EF scorer's; the moving knife's long ranges use a wavelet
+    matrix instead, of ``m * ceil(log2 D)`` entries per row.
     """
-    table, below = [], 0
-    for v in sorted(set(values) - {0}):
-        counts = itertools.accumulate([x >= v for x in values], initial=0)
-        table.append((v - below, tuple(counts)))
-        below = v
-    return table
+    ascending = np.sort(values, axis=1)
+    steps = ascending.copy()  # v minus the item below it, or v
+    steps[:, 1:] -= ascending[:, :-1]
+    owner, at = np.nonzero((ascending > 0) & (steps != 0))  # each value's first copy
+    counts = np.zeros((len(owner), values.shape[1] + 1), dtype=np.int64)
+    np.cumsum(values[owner] >= ascending[owner, at][:, None], axis=1, out=counts[:, 1:])
+    return owner, steps[owner, at], counts
 
 
 def scaled_top_k(profile: UtilityProfile, agent: int, items: Iterable[int], k: int) -> int:
@@ -299,8 +357,8 @@ def scaled_top_k(profile: UtilityProfile, agent: int, items: Iterable[int], k: i
     items = _as_item_tuple(profile, items)
     take = min(k, len(items))
     if profile.kind == "additive":
-        row = profile.values[agent - 1]
-        vals = sorted((row[j - 1] for j in items), reverse=True)
+        row = profile.values[agent - 1].tolist()
+        vals = sorted([row[j - 1] for j in items], reverse=True)
         return sum(vals[:take])
     table = profile.tables[agent - 1]
     # Monotone tables attain the max at full size `take`.
@@ -443,11 +501,7 @@ def adjacency_distance(p1: UtilityProfile, p2: UtilityProfile, notion: Adjacency
     if p1.kind != "additive" or p2.kind != "additive":
         raise ValueError("adjacency distance is defined for additive profiles")
     notion = Adjacency(notion)
+    differ = p1.values != p2.values
     if notion is Adjacency.AGENT_ITEM_LEVEL:
-        return sum(
-            1
-            for i in range(p1.n)
-            for j in range(p1.m)
-            if p1.values[i][j] != p2.values[i][j]
-        )
-    return sum(1 for i in range(p1.n) if p1.values[i] != p2.values[i])
+        return int(differ.sum())
+    return int(differ.any(axis=1).sum())

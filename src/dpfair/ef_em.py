@@ -188,7 +188,8 @@ def scored_candidates(
 @lru_cache(maxsize=0)  # holds nothing; its cache_info() counts the scorings
 def _score_cached(profile: UtilityProfile, g: int) -> tuple[SpanBounds, np.ndarray]:
     bounds = _span_bounds(profile.m, profile.n)
-    if profile.kind == "additive" and max(map(sum, profile.values)) < 2**63:
+    # Row sums of Python ints, which an int64 sum could wrap.
+    if profile.kind == "additive" and max(map(sum, profile.values.tolist())) < 2**63:
         scores = _additive_scores(profile, g, bounds)
     else:  # general tables, or sums that int64 arithmetic would wrap
         candidates = enumerate_connected_allocations(profile.m, profile.n)
@@ -203,8 +204,8 @@ def _additive_scores(profile: UtilityProfile, g: int, bounds: SpanBounds) -> np.
     """:func:`score` of every candidate of an additive profile, in blocks of candidates.
 
     An agent's k-truncated bundle value is ``w @ max(held - k, 0)`` over the
-    thresholds ``(w, c)`` of its row's :func:`~dpfair.core.threshold_counts`,
-    ``held`` being a difference of two entries of ``c``.  A candidate passes
+    thresholds ``(w, c)`` of its row in :func:`~dpfair.core.threshold_counts`,
+    ``held`` being a difference of two columns of ``c``.  A candidate passes
     at t when every agent i has ``own_i(g - t) >= other_ij(g + t)`` for every
     j.  The passing t are upward closed (see :func:`score`), so a binary
     descent over ``[1, g - 1]`` finds how many t fail; the least passing t is
@@ -226,15 +227,13 @@ def _additive_scores(profile: UtilityProfile, g: int, bounds: SpanBounds) -> np.
     """
     n = profile.n
     starts, ends = bounds
-    tables = list(map(threshold_counts, profile.values))
     # An all-zero row has no thresholds: its agent values every bundle at 0 and envies none.
-    owner = np.repeat(np.arange(n), [len(table) for table in tables])
+    owner, w, counts = threshold_counts(profile.values)
     d = len(owner)
-    dtype = np.float64 if max(map(sum, profile.values)) < 2**53 else np.int64
-    counts = np.array([c for table in tables for _, c in table], dtype=dtype)
-    counts = counts.reshape(d, profile.m + 1)
+    dtype = np.float64 if max(map(sum, profile.values.tolist())) < 2**53 else np.int64
+    counts = counts.astype(dtype)
     weights = np.zeros((n, d), dtype=dtype)
-    weights[owner, np.arange(d)] = [w for table in tables for w, _ in table]
+    weights[owner, np.arange(d)] = w
     # +1 on the bundle of the threshold row's owner, -1 on every other bundle
     sign = np.where(owner[:, None] == np.arange(n), 1, -1).astype(dtype)[:, :, None]
     block = max(1, _SCORE_BLOCK_CELLS // (n * (2 * d + n + 2) + 3))

@@ -26,13 +26,20 @@ def bernoulli_profile(n: int, m: int, stream: RandomStream) -> UtilityProfile:
     """Binary profile with independent fair-coin entries."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    bits = stream.generator.integers(0, 2, size=(n, m))
+    # Drawn a row at a time into bools: beside them only one row's int64
+    # draw and the profile's own int64 copy are held, not a second (n, m)
+    # int64 array.  The rows equal one (n, m) draw and leave the generator
+    # in the same state.
+    generator = stream.generator
+    bits = np.empty((n, m), dtype=bool)
+    for row in bits:
+        row[:] = generator.integers(0, 2, size=m)
     return UtilityProfile(n=n, m=m, scale=1, values=bits)
 
 
 def all_zero_profile(n: int, m: int) -> UtilityProfile:
     """The all-zero binary profile."""
-    return UtilityProfile(n=n, m=m, scale=1, values=tuple((0,) * m for _ in range(n)))
+    return UtilityProfile(n=n, m=m, scale=1, values=np.zeros((n, m), dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -99,11 +106,13 @@ def _packing_family(
         raise ValueError(f"blocks exceed the item line: {width_name} * T must be <= m")
     if suffix_start < 1:
         raise ValueError("suffix block would underflow the item line")
-    suffixes = (tuple(1 if j >= suffix_start else 0 for j in range(1, m + 1)),) * (n - 2)
+    values = np.zeros((n, m), dtype=np.int64)
+    values[2:, suffix_start - 1 :] = 1
+    block = np.arange(m) // width
     members = []  # agents 1 and 2 value block t in variant t; t = 0 (the base) matches none
     for t in range(T + 1):
-        row = tuple(1 if (j - 1) // width == t - 1 else 0 for j in range(1, m + 1))
-        members.append(UtilityProfile(n=n, m=m, scale=1, values=(row, row) + suffixes))
+        values[:2] = block == t - 1
+        members.append(UtilityProfile(n=n, m=m, scale=1, values=values))  # a copy
     return PackingFamily(
         base=members[0], variants=tuple(members[1:]), n=n, m=m, c=c, T=T,
         block_width=width, expected_distance=2 * width,
@@ -270,9 +279,8 @@ def search_agent_level_witness(
     for _ in range(candidate_rows):
         row = row_stream.integers(0, 2, size=m)
         for agent in range(1, n + 1):
-            values = tuple(
-                row if i == agent else base.values[i - 1] for i in range(1, n + 1)
-            )
+            values = np.zeros((n, m), dtype=np.int64)
+            values[agent - 1] = row
             candidate = UtilityProfile(n=n, m=m, scale=1, values=values)
             failures = sum(
                 count

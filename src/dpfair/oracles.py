@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import (
     ConnectedAllocation,
     PrivacyParams,
@@ -106,15 +108,12 @@ def exact_em_distribution(
 
 def binary_profiles(n: int, m: int, scale: int = 1) -> list[UtilityProfile]:
     """All 2^(n*m) binary additive profiles, in bitmask order."""
-    cells = n * m
-    out = []
-    for bits in range(1 << cells):
-        values = tuple(
-            tuple(scale if bits >> (i * m + j) & 1 else 0 for j in range(m))
-            for i in range(n)
-        )
-        out.append(UtilityProfile(n=n, m=m, scale=scale, values=values))
-    return out
+    # Bit i * m + j of a profile's index is cell (i, j).
+    cells = np.arange(1 << n * m)[:, None] >> np.arange(n * m) & 1
+    return [
+        UtilityProfile(n=n, m=m, scale=scale, values=bits.reshape(n, m) * scale)
+        for bits in cells
+    ]
 
 
 def _max_adjacent_delta(n: int, m: int, contexts: list, row) -> SensitivityReport:

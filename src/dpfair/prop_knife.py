@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -136,9 +136,9 @@ def f_value(
         raise ValueError("g_b must be a positive integer")
     if profile.kind != "additive":
         raise ValueError(_ADDITIVE_ONLY)
-    row = profile.values[agent - 1]
-    left = sorted(row[lo - 1 : h])
-    right = sorted(row[h:hi])
+    row = profile.values[agent - 1, lo - 1 : hi].tolist()  # Python ints: sums cannot wrap
+    left = sorted(row[: h - lo + 1])
+    right = sorted(row[h - lo + 1 :])
 
     def rejected(t: int) -> bool:
         # k-truncated value of an ascending piece: the sum of all but its k largest items.
@@ -197,22 +197,20 @@ class _Wavelet:
 
 
 def _breakpoints(
-    rows: Sequence[Sequence[int]], g_b: int, n_left: int, n_right: int, c_from: int, c_to: int
+    values: np.ndarray, g_b: int, n_left: int, n_right: int, c_from: int, c_to: int
 ) -> np.ndarray:
     # Row a: ascending offsets H(c) - lo of the least cut with f >= c on
-    # rows[a], for c from max(1, g_b - size + 2, c_from) to c_to; every c
-    # below max(1, g_b - size + 2) has H(c) = lo.  t = c is rejected at no
-    # cut past H(c).
-    size = len(rows[0])
+    # values[a], a (rows, size) array, for c from max(1, g_b - size + 2,
+    # c_from) to c_to; every c below max(1, g_b - size + 2) has H(c) = lo.
+    # t = c is rejected at no cut past H(c).  The wavelet's prefix sums run
+    # over all rows laid end to end: int64 values keep them below 2**62
+    # after weighting (see _cut_queries), and object ones are Python ints.
+    size = values.shape[1]
     # At j = 0 the right piece keeps max(size - 1 - g_b + c, 0) items, none
     # for c <= g_b - size + 1; at j = size - 1 - g_b + c it keeps none for c.
     c = np.arange(max(1, g_b - size + 2, c_from), c_to + 1)
     if not len(c):
-        return np.zeros((len(rows), 0), dtype=np.int64)
-    # The wavelet's prefix sums run over all rows laid end to end.  They stay
-    # below 2**62 after weighting, or the rows are kept as Python ints.
-    fits = max(map(max, rows)) * len(rows) * size * max(n_left, n_right) < 2**62
-    values = np.array(rows, dtype=np.int64 if fits else object)
+        return np.zeros((len(values), 0), dtype=np.int64)
     # The count bracket.  Let lo_v and hi_v be a row's least and greatest
     # positive values and T its count of positive items.  A piece holding p
     # positive items, truncated by k, is worth between lo_v * max(p - k, 0)
@@ -239,7 +237,7 @@ def _breakpoints(
     y = n_left * np.stack([lo_v, hi_v])
     # A left piece truncated by the range length keeps nothing, as by any
     # larger a, so a is clamped to it; then y * need + x * a is at most
-    # 2 * max(n_left, n_right) * hi_v * size, below 2**63 where `fits`.
+    # 2 * max(n_left, n_right) * hi_v * size, below 2**63 for int64 values.
     a = np.minimum(g_b + c, size)
     need = np.maximum(counts[:, -1:] - g_b + c, 0)
     least = np.minimum(need, -(-(y * need + x * a) // (x + y))).astype(np.int64)
@@ -475,6 +473,10 @@ def _cut_queries(
     # that searches the rest when read past them.  hi < lo gives no queries.
     if hi < lo:
         return [np.zeros(0, dtype=np.int64) for _ in agents]
+    # _breakpoints' weighted sums over a group's rows stay below 2**62 in
+    # int64 when max_v * rows * size * max(n_left, n_right) does, which this
+    # bound on the whole profile implies; past it they run on Python ints.
+    fits = profile.max_value * profile.n * profile.m * profile.n < 2**62
     size = hi - lo + 1
     c_min = max(1, g_b - size + 2)
     first = g_b // 2 if c_min <= g_b // 2 else g_b  # the last c of each first chunk
@@ -483,13 +485,19 @@ def _cut_queries(
     offsets = np.arange(size)
     cuts = []
     for start in range(0, len(agents), group):
-        rows = [profile.values[agent - 1][lo - 1 : hi] for agent in agents[start : start + group]]
+        members = agents[start : start + group]
+        rows = profile.values[np.asarray(members) - 1, lo - 1 : hi]
+        if not fits:
+            rows = rows.astype(object)
         breakpoints = _breakpoints(rows, g_b, n_left, n_right, 1, first)
-        for row, points in zip(rows, breakpoints):
+        for agent, row, points in zip(members, rows, breakpoints):
             # The c below c_min have H(c) = lo.
             values = c_min - 1 + np.searchsorted(points, offsets, side="right")
             if first < g_b:
-                rest = partial(_breakpoints, [row], g_b, n_left, n_right, first + 1, g_b)
+                # An int64 rest searches a view of the profile's row, so the
+                # group's copy is not held for as long as the values live.
+                own = profile.values[agent - 1 : agent, lo - 1 : hi] if fits else row[None]
+                rest = partial(_breakpoints, own, g_b, n_left, n_right, first + 1, g_b)
                 values = _CutValues(values, int(points[-1]), rest)
             cuts.append(values)
     return cuts

@@ -1,9 +1,11 @@
 """The names the benchmark in ``bench/`` reads from the package still exist.
 
-``bench/worker.py`` reads two call counters' ``cache_info()`` in every run, and
+``bench/worker.py`` reads two call counters' ``cache_info()`` in every run,
 ``bench/tracing.py`` rebinds the traced functions in every module that looks
-them up.  A change that renames or drops one of them fails here, in the test
-suite, rather than in every benchmark run.
+them up, and ``bench/workloads.py`` checks every op against the profile's
+``values``.  A change that renames or drops one of them, or changes what the
+checks read, fails here, in the test suite, rather than in every benchmark
+run.
 """
 
 import importlib.util
@@ -25,6 +27,15 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load_workloads(monkeypatch):
+    # Its dataclasses look their module up in sys.modules while being built.
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -87,3 +98,21 @@ def test_tracer_counts_every_svt_of_a_knife_run():
     assert calls == sum(len(record.agents) for record in trace.records) > 0
     queries = tracer.counters["ops"]["svt.queries"]
     assert queries == sum(sum(record.svt_queries) for record in trace.records) > 0
+
+
+def test_workload_checks_read_the_profile_values(monkeypatch):
+    # One seeded op of each allocator workload passes the benchmark's own
+    # untimed checks, and its reference scorer reads the profile's values.
+    workloads = _load_workloads(monkeypatch)
+    ef, knife = workloads.EfAllocate(), workloads.KnifeAllocate()
+    for workload in (ef, knife):
+        item = workload.make_input(1, 0)
+        result = workload.run(item)
+        outcome = workload.check(item, result)
+        assert outcome.ok and not outcome.degenerate, outcome.problems
+        if workload is ef:
+            profile, _ = item
+            score, qualified = workloads.reference_score(
+                profile.values, result.allocation.spans, result.g
+            )
+            assert qualified and score == result.score

@@ -98,7 +98,7 @@ def test_gen_packing_family_and_pick(tmp_path, capsys):
     )
     assert code == 0
     picked = cli.profile_from_dict(json.loads(text))
-    assert picked.values[0][:3] == (1, 1, 1)
+    assert picked.values[0, :3].tolist() == [1, 1, 1]
 
 
 @pytest.mark.parametrize("pick", ["0", "-1", "3", "x"])

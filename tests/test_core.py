@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dpfair import cli
 from dpfair.core import (
     Adjacency,
     ConnectedAllocation,
@@ -67,7 +69,7 @@ def test_general_profile_validation():
     with pytest.raises(ValueError):
         UtilityProfile.general(tables=[(1, 1, 1, 1)])
     good = UtilityProfile.general(tables=[(0, 2, 3, 4)])
-    assert good.kind == "general" and good.m == 2 and good.values == ((2, 3),)
+    assert good.kind == "general" and good.m == 2 and good.values.tolist() == [[2, 3]]
     with pytest.raises(ValueError):
         UtilityProfile(n=1, m=17, scale=1, values=((0,) * 17,), kind="general",
                        tables=((0,) * (1 << 17),))
@@ -92,16 +94,87 @@ def test_every_integer_container_gives_one_profile():
         UtilityProfile.additive([np.array(row, dtype=np.int64) for row in rows]),
         UtilityProfile(n=2, m=3, scale=1, values=rows),
         UtilityProfile.additive(tuple(map(tuple, rows))),
+        UtilityProfile.additive(np.array(rows, dtype=np.int32)),
+        UtilityProfile.additive(np.array(rows, dtype=np.uint64)),
+        UtilityProfile.additive(np.array(rows, dtype=object)),
     ]
     assert all(p == profiles[0] and hash(p) == hash(profiles[0]) for p in profiles)
     for p in profiles:
-        assert type(p.values) is tuple and all(type(row) is tuple for row in p.values)
-        assert all(type(v) is int for row in p.values for v in row)
+        # One (n, m) int64 array per profile, never the caller's.
+        assert type(p.values) is np.ndarray and p.values.dtype == np.int64
+        assert p.values.shape == (2, 3) and p.values.tolist() == rows
+    assert len({id(p.values) for p in profiles}) == len(profiles)
     general = UtilityProfile.general(np.array([[0, 2, 3, 4]], dtype=np.int64))
     assert general == UtilityProfile.general([(0, 2, 3, 4)])
-    assert all(type(v) is int for v in general.tables[0] + general.values[0])
+    assert all(type(v) is int for v in general.tables[0])
+    assert general.values.dtype == np.int64 and general.values.tolist() == [[2, 3]]
     flags = UtilityProfile.additive([[True, False]])
-    assert flags.values == ((1, 0),) and all(type(v) is int for v in flags.values[0])
+    assert flags == UtilityProfile.additive(np.array([[True, False]]))
+    assert flags.values.dtype == np.int64 and flags.values.tolist() == [[1, 0]]
+    ints = UtilityProfile.additive([[1, 0]])
+    assert flags == ints and hash(flags) == hash(ints)
+
+
+def test_values_are_read_only():
+    p = UtilityProfile.additive([[1, 2], [3, 4]])
+    assert not p.values.flags.writeable
+    with pytest.raises(ValueError):
+        p.values[0, 0] = 7
+    with pytest.raises(ValueError):
+        p.values[1] += 1
+    assert p.values.tolist() == [[1, 2], [3, 4]]
+
+
+def test_writing_the_source_after_construction_leaves_the_profile_unchanged():
+    for dtype in (np.int64, np.int32, np.uint64, bool):
+        source = np.ones((2, 3), dtype=dtype)
+        p = UtilityProfile(n=2, m=3, scale=1, values=source)
+        before = hash(p)
+        source[0, 0] = 0
+        source[1] = 0
+        assert p.values.tolist() == [[1, 1, 1], [1, 1, 1]]
+        assert hash(p) == before and p == UtilityProfile.additive([[1] * 3] * 2)
+    rows = [[5, 6]]
+    p = UtilityProfile.additive(rows)
+    rows[0][0] = 9
+    assert p.values.tolist() == [[5, 6]]
+
+
+def test_profiles_differ_in_any_cell_or_field():
+    base = UtilityProfile.additive([[1, 2], [3, 4]])
+    assert base != UtilityProfile.additive([[1, 2], [3, 5]])
+    assert base != UtilityProfile.additive([[1, 2], [3, 4]], scale=2)
+    assert base != UtilityProfile.additive([[1, 2, 0], [3, 4, 0]])
+    assert base != "not a profile"
+    same = UtilityProfile.additive(np.array([[1, 2], [3, 4]]))
+    assert len({base, same, UtilityProfile.additive([[1, 2], [3, 5]])}) == 2
+
+
+def test_values_past_int64_are_stored_as_python_ints():
+    for big in (2**63, 2**63 + 1, 2**64, 2**70):
+        rows = [[big, 0], [1, 2]]
+        p = UtilityProfile.additive(rows)
+        assert p.values.dtype == object
+        assert all(type(v) is int for v in p.values.flat) and p.values.tolist() == rows
+        assert p.max_value == big
+        doc = cli.profile_to_dict(p)
+        assert doc["values"] == rows
+        again = cli.profile_from_dict(json.loads(json.dumps(doc)))
+        assert again == p and hash(again) == hash(p) and again.values.dtype == object
+    # numpy reads [[2**63]] as uint64 and [[2**63, 0], [0, 1]] as float64.
+    unsigned = UtilityProfile.additive(np.array([[2**63]], dtype=np.uint64))
+    assert unsigned == UtilityProfile.additive([[2**63]])
+    assert UtilityProfile.additive([[2**63 - 1]]).values.dtype == np.int64
+
+
+def test_ragged_rows_keep_the_shape_message():
+    for values in ([[1, 2], [3]], [[1], [2, 3]], [(1, 2), ()]):
+        with pytest.raises(ValueError, match="values matrix must be exactly n x m"):
+            UtilityProfile(n=2, m=2, scale=1, values=values)
+    with pytest.raises(ValueError, match="values matrix must be exactly n x m"):
+        UtilityProfile(n=3, m=2, scale=1, values=np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(TypeError):
+        UtilityProfile(n=1, m=2, scale=1, values=[[[1], [2]]])
 
 
 def test_int64_rows_near_2_62_sum_exactly():
@@ -450,16 +523,17 @@ _palettes = st.lists(
 @example(row=[2**63, 0, 2**63 + 1, 2**64, 2**63])
 @given(row=_palettes.flatmap(lambda palette: st.lists(st.sampled_from(palette), max_size=12)))
 def test_threshold_counts_give_every_truncated_interval(row):
-    table = threshold_counts(row)
-    assert all(w > 0 for w, _ in table)
     p = UtilityProfile.additive([row])
+    owner, w, c = threshold_counts(p.values)
+    owner, w, c = owner.tolist(), w.tolist(), c.tolist()
+    assert owner == [0] * len(w) == [0] * len(c) and all(v > 0 for v in w)
     for s in range(len(row) + 1):
         for e in range(s, len(row) + 1):
             # Counts fall as thresholds rise, so a sum may stop at its first zero term.
-            held = [c[e] - c[s] for _, c in table]
+            held = [counts[e] - counts[s] for counts in c]
             assert held == sorted(held, reverse=True)
             for k in range(len(row) + 3):
-                form = sum(w * max(c[e] - c[s] - k, 0) for w, c in table)
+                form = sum(v * max(h - k, 0) for v, h in zip(w, held))
                 assert form == scaled_truncated(p, 1, range(s + 1, e + 1), k)
 
 

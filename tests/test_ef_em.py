@@ -495,7 +495,7 @@ def test_score_counter_holds_nothing_and_scores_every_call(tmp_path):
     assert (after.maxsize, after.currsize) == (0, 0)
     assert type(first.score) is int and type(second.score) is int
     path = tmp_path / "p.json"
-    path.write_text(json.dumps({"n": 2, "m": 5, "scale": 1, "values": [list(r) for r in p.values]}))
+    path.write_text(json.dumps({"n": 2, "m": 5, "scale": 1, "values": p.values.tolist()}))
     out = tmp_path / "report.json"
     argv = ["allocate-ef", "--instance", str(path), "--epsilon", "3", "--seed", "1", "--out", str(out)]
     assert cli.run(argv) == cli.EXIT_OK

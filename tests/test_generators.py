@@ -38,6 +38,16 @@ def test_bernoulli_profile_deterministic_under_seed():
     assert a != bernoulli_profile(3, 7, RandomStream(56))
 
 
+def test_bernoulli_rows_equal_one_draw_and_leave_the_same_state():
+    for n, m in ((1, 1), (3, 7), (4, 1001), (2, 64)):
+        stream, reference = RandomStream(11, (1,)), RandomStream(11, (1,))
+        profile = bernoulli_profile(n, m, stream)
+        generator = reference.generator
+        assert profile.values.tolist() == generator.integers(0, 2, size=(n, m)).tolist()
+        assert stream.generator.bit_generator.state == generator.bit_generator.state
+        assert stream.uniforms(5).tolist() == reference.uniforms(5).tolist()
+
+
 def test_bernoulli_profile_cells_uncorrelated_across_seeds():
     trials = 10_000
     xs = np.empty(trials)
@@ -68,13 +78,13 @@ def test_ef_packing_block_structure():
     family = ef_packing_family(n=3, m=20, c=1, T=2)
     u1 = family.variants[0]
     assert [j for j in range(1, 21) if u1.values[0][j - 1]] == [1, 2, 3]
-    assert u1.values[0] == u1.values[1]
+    assert u1.values[0].tolist() == u1.values[1].tolist()
     u2 = family.variants[1]
     assert [j for j in range(1, 21) if u2.values[0][j - 1]] == [4, 5, 6]
     # agents >= 3 value the fixed suffix in every family member
     suffix = [j for j in range(1, 21) if family.base.values[2][j - 1]]
     assert suffix == [18, 19, 20]
-    assert all(v.values[2] == family.base.values[2] for v in family.variants)
+    assert all(v.values[2].tolist() == family.base.values[2].tolist() for v in family.variants)
 
 
 def test_ef_packing_distances():

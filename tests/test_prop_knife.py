@@ -182,6 +182,39 @@ def test_scan_stays_exact_past_int64(rng):
             ] == expected
 
 
+def test_cut_queries_past_the_fit_bound_equal_f_value(monkeypatch, rng):
+    # Rows near 2**62, int64 but past the profile's bound max_v * n * m * n
+    # < 2**62, and at 2**63 + 1, stored as Python ints: every step runs on
+    # object rows, and every agent's values equal f_value at every h.
+    original = prop_knife._breakpoints
+    dtypes = []
+
+    def logged(values, *rest):
+        dtypes.append(values.dtype)
+        return original(values, *rest)
+
+    monkeypatch.setattr(prop_knife, "_breakpoints", logged)
+    for top in (2**62 - 3, 2**62 + 5, 2**63 + 1):
+        for _ in range(8):
+            m = int(rng.integers(2, 20))
+            cells = rng.integers(0, 6, size=(3, m)).tolist()
+            rows = [[top - v if v < 4 else 0 for v in row] for row in cells]
+            p = UtilityProfile.additive(rows)
+            assert p.max_value * p.n * p.m * p.n >= 2**62
+            assert p.values.dtype == (object if top > 2**63 else np.int64)
+            lo = int(rng.integers(1, m + 1))
+            hi = int(rng.integers(lo, m + 1))
+            n_left, n_right = (int(v) for v in rng.choice([1, 2, 3], size=2))
+            for g_b in (1, 2, 5, hi - lo + 2):
+                cuts = prop_knife._cut_queries(p, (1, 2, 3), lo, hi, g_b, n_left, n_right)
+                for agent, values in zip((1, 2, 3), cuts):
+                    assert list(values) == [
+                        f_value(p, agent, lo, hi, h, g_b, n_left, n_right)
+                        for h in range(lo, hi + 1)
+                    ]
+    assert dtypes and all(dtype == object for dtype in dtypes)
+
+
 def test_cut_queries_of_an_empty_range_are_empty():
     p = UtilityProfile.additive([[1, 2, 3]])
     assert [list(cuts) for cuts in prop_knife._cut_queries(p, (1,), 3, 2, 8, 1, 1)] == [[]]
@@ -345,29 +378,22 @@ def test_tiebreak_is_stable_by_agent_index(monkeypatch):
     assert root.right_agents == (3, 4)
 
 
-class _LoggingRows:
-    """Rows that log ``(row index, 0-based position)`` for every item read."""
+class _LoggingValues:
+    """Values that log ``(row index, 0-based position)`` for every cell an index reads.
 
-    def __init__(self, rows, log):
-        self._rows = rows
+    Any numpy index works: a row, a cell, a row and a slice, or an array of
+    rows and a slice; the cells it selects are the ones logged.
+    """
+
+    def __init__(self, values, log):
+        self._values = values
+        self._cells = np.indices(values.shape)  # each cell's row index and position
         self.log = log
 
-    def __getitem__(self, index):
-        return _LoggingRow(self._rows[index], index, self.log)
-
-
-class _LoggingRow:
-    def __init__(self, row, index, log):
-        self._row = row
-        self._index = index
-        self._log = log
-
     def __getitem__(self, key):
-        positions = range(len(self._row))[key]
-        if isinstance(key, int):
-            positions = (positions,)
-        self._log.extend((self._index, position) for position in positions)
-        return self._row[key]
+        rows, positions = (grid[key] for grid in self._cells)
+        self.log.extend(zip(np.ravel(rows).tolist(), np.ravel(positions).tolist()))
+        return self._values[key]
 
 
 class _SpyProfile:
@@ -379,7 +405,9 @@ class _SpyProfile:
         self.scale = profile.scale
         self.kind = profile.kind
         self.agents = profile.agents
-        self.values = _LoggingRows(profile.values, log)
+        # The profile's own once-read maximum, like n and m, not a row read.
+        self.max_value = profile.max_value
+        self.values = _LoggingValues(profile.values, log)
 
 
 def test_f_value_reads_only_the_queried_agents_row(rng):
