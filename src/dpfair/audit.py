@@ -131,16 +131,21 @@ def exact_em_ratio_check(
     return ratio_report_from_distributions(d1, d2, bound)
 
 
-def _sampled_ratio_report(
+def estimate_privacy_ratio(
     mechanism: Mechanism,
     p1: UtilityProfile,
     p2: UtilityProfile,
-    bound: float,
+    epsilon: float,
     samples: int,
     stream: RandomStream,
 ) -> RatioReport:
+    """Sampled privacy-ratio audit of a black-box mechanism against e^epsilon.
+
+    For profiles k cells apart, pass ``k * epsilon`` to audit group privacy.
+    """
     if samples < 1:
         raise ValueError("need at least one sample per input")
+    bound = math.exp(epsilon)
     counts1 = draw_counts(mechanism, p1, stream.child(1), samples)
     counts2 = draw_counts(mechanism, p2, stream.child(2), samples)
     outcomes = sorted(set(counts1) | set(counts2), key=repr)
@@ -175,21 +180,6 @@ def _sampled_ratio_report(
         mode="sampled",
         flagged=tuple(flagged),
     )
-
-
-def estimate_privacy_ratio(
-    mechanism: Mechanism,
-    p1: UtilityProfile,
-    p2: UtilityProfile,
-    epsilon: float,
-    samples: int,
-    stream: RandomStream,
-) -> RatioReport:
-    """Sampled privacy-ratio audit of a black-box mechanism against e^epsilon.
-
-    For profiles k cells apart, pass ``k * epsilon`` to audit group privacy.
-    """
-    return _sampled_ratio_report(mechanism, p1, p2, math.exp(epsilon), samples, stream)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,15 @@ everywhere in files and output.  Every command takes a ``--seed``;
 replaying the same command, seed, and instance reproduces the identical
 report byte for byte, except for the ``timing`` block.
 
+Each ``_cmd_*`` handler takes the parsed flags and returns ``(body,
+exit_code)``, writing nothing to stdout or a file.  ``body`` is a dict of
+the command's own report sections, a finished text written as is (``gen``'s
+bare instance or family, ``sweep --format csv``), or None when the handler
+has already reported on stderr.  :func:`run` alone times the handler, wraps
+a dict in the report header and a ``timing`` block whose ``runtime_ms`` is
+the handler's wall time, instance reads included, and writes the result to
+``--out`` or stdout.
+
 Exit codes: 0 on success, 1 on audit failure (a confident privacy-ratio
 violation or a broken invariant), 2 on usage or parse errors.
 """
@@ -134,15 +143,8 @@ def _record_to_dict(record: prop_knife.KnifeRecord) -> dict:
     return doc
 
 
-def _emit(report: dict, args, text: Optional[str] = None) -> None:
-    """Write ``text``, by default the report as JSON, to --out or stdout."""
-    if text is None:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _params(args) -> PrivacyParams:
@@ -175,40 +177,30 @@ def _base_report(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_allocate_ef(args) -> int:
+def _cmd_allocate_ef(args) -> tuple[dict, int]:
     profile = read_instance(args.instance)
-    start = time.perf_counter()
-    report_obj = dp_ef_allocate(
+    report = dp_ef_allocate(
         profile, _params(args), RandomStream(args.seed), enumeration_cap=args.enum_cap
     )
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    report = _base_report(args)
-    report["allocation"] = allocation_to_dict(report_obj.allocation)
-    report["metadata"] = {
-        "g": report_obj.g,
-        "score": report_obj.score,
-        "candidate_count": report_obj.candidate_count,
-        "ef_guarantee": report_obj.ef_guarantee,
+    metadata = {
+        "g": report.g,
+        "score": report.score,
+        "candidate_count": report.candidate_count,
+        "ef_guarantee": report.ef_guarantee,
     }
-    report["timing"] = {"runtime_ms": elapsed_ms}
-    _emit(report, args)
-    return EXIT_OK
+    return {"allocation": allocation_to_dict(report.allocation), "metadata": metadata}, EXIT_OK
 
 
-def _cmd_allocate_prop(args) -> int:
+def _cmd_allocate_prop(args) -> tuple[dict, int]:
     profile = read_instance(args.instance)
     params = _params(args)
-    start = time.perf_counter()
     allocation, trace = dp_moving_knife(profile, params, RandomStream(args.seed))
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
     levels = trace.levels_used()
     budget = prop_knife.exact_budget_total(params.epsilon, levels)
     budget_ok = budget <= Fraction(params.epsilon)
     trace_ok = audit_mod.validate_knife_trace(trace, profile.n, profile.m)
     schedule = prop_knife.budget_schedule(profile.m, profile.n, params)
-    report = _base_report(args)
-    report["allocation"] = allocation_to_dict(allocation)
-    report["metadata"] = {
+    metadata = {
         "budget_levels": [
             {"level": b, "epsilon_b": eps_b, "g_b": g_b}
             for b, (eps_b, g_b) in sorted(schedule.items())
@@ -220,48 +212,43 @@ def _cmd_allocate_prop(args) -> int:
         "trace_valid": trace_ok,
         "trace": [_record_to_dict(record) for record in trace.records],
     }
-    report["timing"] = {"runtime_ms": elapsed_ms}
-    _emit(report, args)
-    return EXIT_OK if budget_ok and trace_ok else EXIT_AUDIT_FAILURE
+    code = EXIT_OK if budget_ok and trace_ok else EXIT_AUDIT_FAILURE
+    return {"allocation": allocation_to_dict(allocation), "metadata": metadata}, code
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[dict, int]:
     profile = read_instance(args.instance)
-    report = _base_report(args)
-    start = time.perf_counter()
-    if args.which == "min-ef":
-        report["result"] = oracles.min_ef_c_connected(profile, args.enum_cap)
-    elif args.which == "min-prop":
-        report["result"] = oracles.min_prop_c_connected(profile, args.enum_cap)
-    elif args.which == "ef2-exists":
-        report["result"] = oracles.ef2_connected_exists(profile, args.enum_cap)
-    else:  # em-dist
+    if args.which == "em-dist":
         distribution = oracles.exact_em_distribution(profile, _params(args), args.enum_cap)
-        report["result"] = [
+        result = [
             {"allocation": allocation_to_dict(a), "probability": p}
             for a, p in distribution.items()
         ]
-    report["timing"] = {"runtime_ms": (time.perf_counter() - start) * 1000.0}
-    _emit(report, args)
-    return EXIT_OK
+    else:
+        exact = {
+            "min-ef": oracles.min_ef_c_connected,
+            "min-prop": oracles.min_prop_c_connected,
+            "ef2-exists": oracles.ef2_connected_exists,
+        }[args.which]
+        result = exact(profile, args.enum_cap)
+    return {"result": result}, EXIT_OK
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> tuple[Optional[str], int]:
     stream = RandomStream(args.seed)
     if args.kind == "bernoulli":
         payload = profile_to_dict(generators.bernoulli_profile(args.n, args.m, stream))
     elif args.kind == "all-zero":
         payload = profile_to_dict(generators.all_zero_profile(args.n, args.m))
     else:
-        maker = (
-            generators.ef_packing_family
-            if args.kind == "ef-packing"
-            else generators.prop_packing_family
-        )
+        maker = {
+            "ef-packing": generators.ef_packing_family,
+            "prop-packing": generators.prop_packing_family,
+        }[args.kind]
         family = maker(args.n, args.m, c=args.c, T=args.T, epsilon=args.epsilon)
         if not generators.verify_packing_distances(family):
             sys.stderr.write("packing family failed its edit-distance invariant\n")
-            return EXIT_AUDIT_FAILURE
+            return None, EXIT_AUDIT_FAILURE
         if args.pick is not None:
             payload = profile_to_dict(_pick(family, args.pick))
         else:
@@ -275,9 +262,8 @@ def _cmd_gen(args) -> int:
                 "base": profile_to_dict(family.base),
                 "variants": [profile_to_dict(v) for v in family.variants],
             }
-    # Emitted bare (no report wrapper) so the output feeds allocate-* directly.
-    _emit(payload, args)
-    return EXIT_OK
+    # Bare (no report wrapper), so the output feeds allocate-* directly.
+    return _json(payload), EXIT_OK
 
 
 def _pick(family: generators.PackingFamily, pick: str) -> UtilityProfile:
@@ -318,11 +304,8 @@ def _ratio_report_dict(ratio: audit_mod.RatioReport) -> dict:
     }
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args) -> tuple[dict, int]:
     stream = RandomStream(args.seed)
-    report = _base_report(args)
-    start = time.perf_counter()
-
     if args.check in ("privacy-ratio", "group"):
         params = _params(args)
         p1 = read_instance(args.instance1)
@@ -391,14 +374,10 @@ def _cmd_audit(args) -> int:
             "target_lower_bound": target,
             "passed": estimate.ci_high >= target,
         }
-
-    report["result"] = result
-    report["timing"] = {"runtime_ms": (time.perf_counter() - start) * 1000.0}
-    _emit(report, args)
-    return EXIT_OK if result["passed"] else EXIT_AUDIT_FAILURE
+    return {"result": result}, EXIT_OK if result["passed"] else EXIT_AUDIT_FAILURE
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[dict | str, int]:
     grid = itertools.product(args.ns, args.ms, args.epsilons, args.betas)
     min_c = min_ef_c if args.algorithm == "ef" else min_prop_c
     rows = []
@@ -416,7 +395,6 @@ def _cmd_sweep(args) -> int:
         achieved = {allocation: min_c(profile, allocation) for allocation in counts}
         worst_c = max(achieved.values())
         failures = sum(counts[a] for a, c in achieved.items() if c > guarantee_c)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
             {
                 "n": n,
@@ -427,23 +405,18 @@ def _cmd_sweep(args) -> int:
                 "algorithm": args.algorithm,
                 "c_achieved": worst_c,
                 "failure_rate": failures / args.trials,
-                "runtime_ms": elapsed_ms,
+                "runtime_ms": (time.perf_counter() - start) * 1000.0,
             }
         )
-    report = _base_report(args)
-    report["rows"] = [
-        {k: v for k, v in row.items() if k != "runtime_ms"} for row in rows
-    ]
-    report["timing"] = {"runtime_ms": sum(row["runtime_ms"] for row in rows)}
-    text = None
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-        text = buffer.getvalue()
-    _emit(report, args, text)
-    return EXIT_OK
+        return buffer.getvalue(), EXIT_OK
+    for row in rows:
+        del row["runtime_ms"]  # a report times the whole sweep in its timing block
+    return {"rows": rows}, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -649,10 +622,21 @@ def run(argv: Optional[list[str]] = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        start = time.perf_counter()
+        body, code = args.handler(args)
+        runtime_ms = (time.perf_counter() - start) * 1000.0
+        if isinstance(body, dict):
+            body = _json({**_base_report(args), **body, "timing": {"runtime_ms": runtime_ms}})
+        if body is not None:
+            if args.out:
+                with open(args.out, "w") as handle:
+                    handle.write(body)
+            else:
+                sys.stdout.write(body)
     except (EnumerationCapError, ValueError, IndexError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    return code
 
 
 def main() -> int:

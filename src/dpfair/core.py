@@ -174,7 +174,10 @@ def _integer_matrix(cells, shape: tuple[int, int]) -> np.ndarray:
         raise TypeError("utility values must be integers, not sequences")
     # uint64 may hold 2**63 and more, which int64 would wrap.
     if array.dtype.kind in "bi" or (array.dtype.kind == "u" and array.max() < 2**63):
-        return array.astype(np.int64, order="C")
+        # An array that asarray built from a container owns the only copy of
+        # the cells; one that is, or views, the caller's array is copied.
+        fresh = array is not cells and array.base is None
+        return array.astype(np.int64, order="C", copy=not fresh)
     flat = [operator.index(v) for v in array.flat]
     if -(2**63) <= min(flat) and max(flat) < 2**63:
         return np.array(flat, dtype=np.int64).reshape(shape)

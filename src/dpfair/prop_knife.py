@@ -475,8 +475,8 @@ def _cut_queries(
         return [np.zeros(0, dtype=np.int64) for _ in agents]
     # _breakpoints' weighted sums over a group's rows stay below 2**62 in
     # int64 when max_v * rows * size * max(n_left, n_right) does, which this
-    # bound on the whole profile implies; past it they run on Python ints.
-    fits = profile.max_value * profile.n * profile.m * profile.n < 2**62
+    # bound implies (rows <= n, size <= m); past it they run on Python ints.
+    fits = profile.max_value * profile.n * profile.m * max(n_left, n_right) < 2**62
     size = hi - lo + 1
     c_min = max(1, g_b - size + 2)
     first = g_b // 2 if c_min <= g_b // 2 else g_b  # the last c of each first chunk

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -293,18 +294,21 @@ def test_audit_failure_exits_one(tmp_path, capsys, monkeypatch):
 
 def test_sweep_csv_grid_order_and_columns(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    code, _, _ = run_cli(
-        ["sweep", "--ns", "2", "--ms", "3,4", "--epsilons", "1,2", "--betas", "0.1",
-         "--algorithm", "ef", "--trials", "3", "--seed", "11", "--format", "csv",
-         "--out", str(out)],
-        capsys,
-    )
+    argv = ["sweep", "--ns", "2", "--ms", "3,4", "--epsilons", "1,2", "--betas", "0.1",
+            "--algorithm", "ef", "--trials", "3", "--seed", "11", "--format", "csv"]
+    code, _, _ = run_cli([*argv, "--out", str(out)], capsys)
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "n,m,epsilon,beta,seed,algorithm,c_achieved,failure_rate,runtime_ms"
     assert len(lines) == 5
     # grid order is fixed: m ascending before epsilon
     assert [line.split(",")[1] for line in lines[1:]] == ["3", "3", "4", "4"]
+    # Without --out the same CSV, apart from each row's runtime_ms, goes to stdout.
+    code, text, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert [line.rsplit(",", 1)[0] for line in text.strip().splitlines()] == [
+        line.rsplit(",", 1)[0] for line in lines
+    ]
 
 
 def test_sweep_records_the_grid_it_ran(capsys):
@@ -522,6 +526,117 @@ def test_battery_command_shapes_exit_zero(tmp_path):
         report = json.loads(out.read_text())
         assert report["seed"] == 3
         assert not {"seed", "out", "instance1", "instance2"} & report["parameters"].keys()
+
+
+# ---------------------------------------------------------------------------
+# the report path
+# ---------------------------------------------------------------------------
+
+
+def one_argv_per_leaf(tmp_path):
+    i = write_instance(tmp_path, "i.json", [[1, 0, 1], [0, 1, 0]])
+    j = write_instance(tmp_path, "j.json", [[1, 0, 1], [0, 1, 1]])
+    pair = ["--instance1", i, "--instance2", j]
+    packing = ["--n", "3", "--m", "24", "--c", "1", "--T", "2"]
+    return [
+        ["allocate-ef", "--instance", i],
+        ["allocate-prop", "--instance", i],
+        ["oracle", "min-ef", "--instance", i],
+        ["oracle", "min-prop", "--instance", i],
+        ["oracle", "ef2-exists", "--instance", i],
+        ["oracle", "em-dist", "--instance", i],
+        ["gen", "bernoulli", "--n", "2", "--m", "3"],
+        ["gen", "all-zero", "--n", "2", "--m", "3"],
+        ["gen", "ef-packing", *packing, "--pick", "base"],
+        ["gen", "prop-packing", *packing, "--pick", "2"],
+        ["audit", "privacy-ratio", *pair, "--trials", "20"],
+        ["audit", "group", *pair, "--exact"],
+        ["audit", "sensitivity"],
+        ["audit", "fairness-rate", "--instance", i, "--trials", "20", "--c", "3"],
+        ["audit", "anti-concentration", "--trials", "200"],
+        ["sweep", *GRID, "--trials", "2"],
+    ]
+
+
+def test_the_report_path_argv_table_covers_every_leaf(tmp_path):
+    words = [
+        tuple(word for word in argv[:2] if not word.startswith("-"))
+        for argv in one_argv_per_leaf(tmp_path)
+    ]
+    assert sorted(words) == sorted(_leaf_paths(cli.build_parser()))
+
+
+def test_handlers_return_their_body_and_write_nothing(tmp_path, capsys):
+    for argv in one_argv_per_leaf(tmp_path):
+        args = cli._PARSER.parse_args([*argv, "--seed", "3"])
+        cli._refuse_ignored_flags(cli._PARSER, args)
+        body, code = args.handler(args)
+        captured = capsys.readouterr()
+        assert captured.out == captured.err == "", argv
+        assert code == cli.EXIT_OK, argv
+        if argv[0] == "gen":
+            assert isinstance(body, str), argv
+        else:
+            assert isinstance(body, dict), argv
+            assert not {"command", "seed", "parameters", "timing"} & body.keys(), argv
+
+
+def test_every_json_report_has_its_header_and_timing(tmp_path, capsys):
+    for argv in one_argv_per_leaf(tmp_path):
+        if argv[0] == "gen":
+            continue
+        out = tmp_path / "report.json"
+        code, stdout, _ = run_cli([*argv, "--seed", "3"], capsys)
+        assert code == cli.EXIT_OK, argv
+        assert run_cli([*argv, "--seed", "3", "--out", str(out)], capsys)[1] == ""
+        for doc in (json.loads(stdout), json.loads(out.read_text())):
+            assert doc["command"] == argv[0] and doc["seed"] == 3, argv
+            assert isinstance(doc["parameters"], dict), argv
+            assert doc["timing"]["runtime_ms"] >= 0, argv
+        assert strip_timing(stdout) == strip_timing(out.read_text()), argv
+
+
+def test_gen_output_is_bare_and_reads_as_an_instance(tmp_path, capsys):
+    for argv in one_argv_per_leaf(tmp_path):
+        if argv[0] != "gen":
+            continue
+        out = tmp_path / "instance.json"
+        code, stdout, _ = run_cli([*argv, "--out", str(out)], capsys)
+        assert code == cli.EXIT_OK and stdout == "", argv
+        doc = json.loads(out.read_text())
+        assert not {"command", "seed", "parameters", "timing"} & doc.keys(), argv
+        assert cli.read_instance(str(out)).n == int(argv[argv.index("--n") + 1]), argv
+    code, stdout, _ = run_cli(["gen", "ef-packing", "--n", "3", "--m", "12", "--c", "1"], capsys)
+    assert code == cli.EXIT_OK
+    assert json.loads(stdout).keys() == {"family", "params", "base", "variants"}
+
+
+def test_runtime_ms_covers_the_instance_read(tmp_path, capsys, monkeypatch):
+    path = write_instance(tmp_path, "i.json", [[1, 0, 1], [0, 1, 0]])
+    read = cli.read_instance
+
+    def slow_read(name):
+        time.sleep(0.05)
+        return read(name)
+
+    monkeypatch.setattr(cli, "read_instance", slow_read)
+    for argv in (["allocate-ef", "--instance", path], ["oracle", "min-ef", "--instance", path]):
+        code, stdout, _ = run_cli(argv, capsys)
+        assert code == cli.EXIT_OK
+        assert json.loads(stdout)["timing"]["runtime_ms"] >= 50
+
+
+@pytest.mark.parametrize("kind", ["ef-packing", "prop-packing"])
+def test_a_failed_packing_invariant_exits_one_writing_nothing(kind, tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setattr(cli.generators, "verify_packing_distances", lambda family: False)
+    argv = ["gen", kind, "--n", "3", "--m", "24", "--c", "1"]
+    out = tmp_path / "family.json"
+    for extra in ([], ["--out", str(out)], ["--pick", "base", "--out", str(out)]):
+        code, stdout, err = run_cli([*argv, *extra], capsys)
+        assert code == cli.EXIT_AUDIT_FAILURE and stdout == ""
+        assert "edit-distance invariant" in err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

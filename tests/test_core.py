@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -138,6 +139,37 @@ def test_writing_the_source_after_construction_leaves_the_profile_unchanged():
     p = UtilityProfile.additive(rows)
     rows[0][0] = 9
     assert p.values.tolist() == [[5, 6]]
+
+
+def test_an_ndarray_or_memoryview_source_is_never_aliased():
+    # Whether the array is used as given, viewed, or stacked from its rows.
+    for dtype in (np.int64, np.int32):
+        for make in (
+            lambda a: UtilityProfile.additive(a),
+            lambda a: UtilityProfile(n=2, m=3, scale=1, values=a),
+            lambda a: UtilityProfile(n=2, m=3, scale=1, values=a[:, ::-1][:, ::-1]),
+            lambda a: UtilityProfile.additive(list(a)),
+            lambda a: UtilityProfile.additive([memoryview(row) for row in a]),
+        ):
+            source = np.arange(6, dtype=dtype).reshape(2, 3)
+            p = make(source)
+            source[0, 0] = 7
+            source[1] += 1
+            assert p.values.tolist() == [[0, 1, 2], [3, 4, 5]]
+
+
+def test_an_ndarray_source_is_copied_once():
+    source = np.arange(64 * 10**5, dtype=np.int64).reshape(64, 10**5)
+    for make in (UtilityProfile.additive, lambda a: UtilityProfile.additive(list(a))):
+        tracemalloc.start()
+        try:
+            p = make(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(p.values, source)
+        del p
+        assert peak <= 1.1 * source.nbytes
 
 
 def test_profiles_differ_in_any_cell_or_field():

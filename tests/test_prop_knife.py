@@ -14,6 +14,7 @@ from dpfair.audit import parallel_structure_ok, validate_knife_trace
 from dpfair.core import ConnectedAllocation, PrivacyParams, UtilityProfile, is_prop_c
 from dpfair.generators import bernoulli_profile
 from dpfair.mechanisms import RandomStream, SvtOutcome, above_threshold
+from dpfair.oracles import binary_profiles
 from dpfair.prop_knife import (
     budget_schedule,
     dp_moving_knife,
@@ -183,9 +184,10 @@ def test_scan_stays_exact_past_int64(rng):
 
 
 def test_cut_queries_past_the_fit_bound_equal_f_value(monkeypatch, rng):
-    # Rows near 2**62, int64 but past the profile's bound max_v * n * m * n
-    # < 2**62, and at 2**63 + 1, stored as Python ints: every step runs on
-    # object rows, and every agent's values equal f_value at every h.
+    # Rows near 2**62, int64 but past the bound max_v * n * m *
+    # max(n_left, n_right) < 2**62, and at 2**63 + 1, stored as Python
+    # ints: every step runs on object rows, and every agent's values equal
+    # f_value at every h.
     original = prop_knife._breakpoints
     dtypes = []
 
@@ -213,6 +215,14 @@ def test_cut_queries_past_the_fit_bound_equal_f_value(monkeypatch, rng):
                         for h in range(lo, hi + 1)
                     ]
     assert dtypes and all(dtype == object for dtype in dtypes)
+
+
+def test_the_fit_bound_reads_the_group_sizes_not_the_agent_count():
+    # One row near 2**61 fits int64 against n = 1, but weighted by a right
+    # group of 2 the count bracket's y * need + x * a reaches 2**63.
+    p = UtilityProfile.additive([[0, 2**61 - 1]])
+    (cuts,) = prop_knife._cut_queries(p, (1,), 1, 2, 1, 1, 2)
+    assert list(cuts) == [f_value(p, 1, 1, 2, h, 1, 1, 2) for h in (1, 2)] == [0, 1]
 
 
 def test_cut_queries_of_an_empty_range_are_empty():
@@ -812,6 +822,29 @@ def test_lazy_cut_values_equal_f_value_in_any_pieces(
     # Each source searched the rest of its row's c once, however it was read.
     sources = [cut for cut in cuts if not isinstance(cut, np.ndarray)]
     assert len(extended) == len(sources) == len({id(row) for row in extended})
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (2, 4)])
+def test_cut_values_equal_f_value_on_the_sensitivity_audit_universe(monkeypatch, n, m):
+    # `audit sensitivity --which f` bounds f_value over every binary profile,
+    # range and cut, with these group sizes; the allocator runs on the cut
+    # values, which must be f_value exactly there.
+    n_right = max(n // 2, 1)
+    n_left = max(n - n_right, 1)
+    extended = _logged_extensions(monkeypatch)
+    for g_b in (1, 2, 3, 8):
+        for p in binary_profiles(n, m):
+            for lo in range(1, m + 1):
+                for hi in range(lo, m + 1):
+                    cuts = prop_knife._cut_queries(p, p.agents, lo, hi, g_b, n_left, n_right)
+                    for agent, cut in zip(p.agents, cuts):
+                        assert cut[:].tolist() == [
+                            f_value(p, agent, lo, hi, h, g_b, n_left, n_right)
+                            for h in range(lo, hi + 1)
+                        ], (p.values.tolist(), agent, lo, hi, g_b)
+    # g_b = 2 on 3 or 4 items, and 3 on 4, leave the c past g_b // 2 to the
+    # lazy rest search, which reading in full runs.
+    assert extended
 
 
 def test_svt_on_lazy_cut_values_equals_the_svt_on_their_array(monkeypatch):
