@@ -30,16 +30,6 @@ _ADDITIVE_ONLY = "the moving-knife allocator requires additive utilities"
 # and holds at most _SEARCH_CHUNK values of c at a time.
 _FAN_OUT = 4
 _SEARCH_CHUNK = 8192
-# A step's cut values are built for a group of its agents at once, on one
-# wavelet over their L-item rows and one search for the values of c that
-# each row's first chunk holds: c from max(1, g_b - L + 2) to g_b // 2, or
-# to g_b where that range is empty.  A group saves numpy's per-call cost,
-# which dominates where each row searches few values of c; a larger one
-# only makes larger temporaries and a deeper wavelet.  So a group holds at
-# most _GROUP_ITEMS items and its first chunks hold at most _GROUP_SEARCH
-# values of c, or it is one agent.
-_GROUP_ITEMS = 2**14
-_GROUP_SEARCH = 2**10
 # knife_samples keeps at most this many recursion steps and as many runs.
 _MEMO_CAP = 256
 
@@ -197,21 +187,20 @@ class _Wavelet:
 
 
 def _breakpoints(
-    values: np.ndarray, g_b: int, n_left: int, n_right: int, c_from: int, c_to: int
+    row: np.ndarray, g_b: int, n_left: int, n_right: int, c_from: int, c_to: int
 ) -> np.ndarray:
-    # Row a: ascending offsets H(c) - lo of the least cut with f >= c on
-    # values[a], a (rows, size) array, for c from max(1, g_b - size + 2,
-    # c_from) to c_to; every c below max(1, g_b - size + 2) has H(c) = lo.
-    # t = c is rejected at no cut past H(c).  The wavelet's prefix sums run
-    # over all rows laid end to end: int64 values keep them below 2**62
-    # after weighting (see _cut_queries), and object ones are Python ints.
-    size = values.shape[1]
+    # Ascending offsets H(c) - lo of the least cut with f >= c on a row of
+    # `size` items, for c from max(1, g_b - size + 2, c_from) to c_to; every
+    # c below max(1, g_b - size + 2) has H(c) = lo.  t = c is rejected at no
+    # cut past H(c).  int64 rows keep the weighted sums below 2**62 (see
+    # _cut_queries), and object ones are Python ints.
+    size = len(row)
     # At j = 0 the right piece keeps max(size - 1 - g_b + c, 0) items, none
     # for c <= g_b - size + 1; at j = size - 1 - g_b + c it keeps none for c.
     c = np.arange(max(1, g_b - size + 2, c_from), c_to + 1)
     if not len(c):
-        return np.zeros((len(values), 0), dtype=np.int64)
-    # The count bracket.  Let lo_v and hi_v be a row's least and greatest
+        return np.zeros(0, dtype=np.int64)
+    # The count bracket.  Let lo_v and hi_v be the row's least and greatest
     # positive values and T its count of positive items.  A piece holding p
     # positive items, truncated by k, is worth between lo_v * max(p - k, 0)
     # and hi_v * max(p - k, 0).  At cut j the left piece [0, j] holds
@@ -226,40 +215,37 @@ def _breakpoints(
     # is min(need, ceil((y * need + x * a) / (x + y))) with need =
     # max(T - b, 0).  P grows with j, so the first cut holding that many
     # positive items bounds H(c): from below for the first (x, y), from
-    # above for the second.  Where a row's positive values are all equal
+    # above for the second.  Where the row's positive values are all equal
     # the two agree and leave nothing to bisect.
-    positive = values > 0
-    counts = np.cumsum(positive, axis=1)
+    positive = row > 0
+    counts = np.cumsum(positive)
     # hi_v is 1 on an all-zero row, whose need is 0, so that x + y > 0.
-    hi_v = np.maximum(values.max(axis=1, keepdims=True), 1)
-    lo_v = np.where(positive, values, hi_v).min(axis=1, keepdims=True)
-    x = n_right * np.stack([hi_v, lo_v])
-    y = n_left * np.stack([lo_v, hi_v])
+    hi_v = max(row.max(), 1)
+    lo_v = row[positive].min(initial=hi_v)
+    # Line 0 holds the first (x, y) and line 1 the second, in the row's
+    # dtype: an object row's products stay Python ints.
+    x = np.array([[n_right * hi_v], [n_right * lo_v]], dtype=row.dtype)
+    y = np.array([[n_left * lo_v], [n_left * hi_v]], dtype=row.dtype)
     # A left piece truncated by the range length keeps nothing, as by any
     # larger a, so a is clamped to it; then y * need + x * a is at most
     # 2 * max(n_left, n_right) * hi_v * size, below 2**63 for int64 values.
     a = np.minimum(g_b + c, size)
-    need = np.maximum(counts[:, -1:] - g_b + c, 0)
+    need = np.maximum(counts[-1] - g_b + c, 0)
     least = np.minimum(need, -(-(y * need + x * a) // (x + y))).astype(np.int64)
-    below, above = np.stack(
-        [np.searchsorted(row, p) for row, p in zip(counts, least.swapaxes(0, 1))], axis=1
-    )
+    below, above = np.searchsorted(counts, least)
     # At j = size - 1 - g_b + c the right piece keeps nothing.
     above = np.minimum(above, size - 1 - g_b + c)
-    row, col = np.nonzero(below < above)
-    if len(row):
-        wavelet = _Wavelet(values.ravel())
-        for part in range(0, len(row), _SEARCH_CHUNK):
-            r, k = row[part : part + _SEARCH_CHUNK], col[part : part + _SEARCH_CHUNK]
-            below[r, k] = _bisect(
-                wavelet, r * size, size, c[k], below[r, k], above[r, k], g_b, n_left, n_right
-            )
+    (unsettled,) = np.nonzero(below < above)
+    if len(unsettled):
+        wavelet = _Wavelet(row)
+        for part in range(0, len(unsettled), _SEARCH_CHUNK):
+            k = unsettled[part : part + _SEARCH_CHUNK]
+            below[k] = _bisect(wavelet, size, c[k], below[k], above[k], g_b, n_left, n_right)
     return below
 
 
 def _bisect(
     wavelet: _Wavelet,
-    offset: np.ndarray,
     size: int,
     c: np.ndarray,
     below: np.ndarray,
@@ -269,26 +255,21 @@ def _bisect(
     n_right: int,
 ) -> np.ndarray:
     # Fan-out bisection for every entry at once: H(c) - lo lies in
-    # [below, above], and t = c is accepted at above.  An entry's row is
-    # [offset, offset + size) of the wavelet, so no probe leaves it.
+    # [below, above], and t = c is accepted at above.
     probes = _FAN_OUT - 1
     fan = np.arange(1, _FAN_OUT)
     n = len(c) * probes
-    # The left piece of a probe is [start, start + split) and keeps
-    # split - g_b - c items; the right one is [start + split, start + size)
-    # and keeps size - g_b + c - split.
-    bounds = np.empty((2, 2 * n), dtype=np.int64)
-    start = bounds[0, :n]
-    start[:] = np.repeat(offset, probes)
-    np.add(start, size, out=bounds[1, n:])
+    # The left piece of a probe is [0, split) and keeps split - g_b - c
+    # items; the right one is [split, size) and keeps size - g_b + c - split.
+    bounds = np.zeros((2, 2 * n), dtype=np.int64)
+    bounds[1, n:] = size
     left_kept = np.repeat(-g_b - c, probes)
     right_kept = np.repeat(size - g_b + c, probes)
     kept = np.empty(2 * n, dtype=np.int64)
     while (below < above).any():
         width = above - below
         split = (below[:, None] + width[:, None] * fan // _FAN_OUT + 1).ravel()
-        np.add(start, split, out=bounds[1, :n])
-        bounds[0, n:] = bounds[1, :n]
+        bounds[1, :n] = bounds[0, n:] = split
         np.add(split, left_kept, out=kept[:n])
         np.subtract(right_kept, split, out=kept[n:])
         sums = wavelet.smallest(bounds, np.maximum(kept, 0, out=kept))
@@ -473,33 +454,26 @@ def _cut_queries(
     # that searches the rest when read past them.  hi < lo gives no queries.
     if hi < lo:
         return [np.zeros(0, dtype=np.int64) for _ in agents]
-    # _breakpoints' weighted sums over a group's rows stay below 2**62 in
-    # int64 when max_v * rows * size * max(n_left, n_right) does, which this
-    # bound implies (rows <= n, size <= m); past it they run on Python ints.
-    fits = profile.max_value * profile.n * profile.m * max(n_left, n_right) < 2**62
+    # _breakpoints' weighted sums over a row stay below 2**62 in int64 when
+    # max_v * size * max(n_left, n_right) does, which this bound implies
+    # (size <= m); past it they run on Python ints.
+    fits = profile.max_value * profile.m * max(n_left, n_right) < 2**62
     size = hi - lo + 1
     c_min = max(1, g_b - size + 2)
     first = g_b // 2 if c_min <= g_b // 2 else g_b  # the last c of each first chunk
-    searched = max(first - c_min + 1, 1)  # values of c in each first chunk
-    group = max(1, min(_GROUP_ITEMS // size, _GROUP_SEARCH // searched))
     offsets = np.arange(size)
     cuts = []
-    for start in range(0, len(agents), group):
-        members = agents[start : start + group]
-        rows = profile.values[np.asarray(members) - 1, lo - 1 : hi]
+    for agent in agents:
+        row = profile.values[agent - 1, lo - 1 : hi]
         if not fits:
-            rows = rows.astype(object)
-        breakpoints = _breakpoints(rows, g_b, n_left, n_right, 1, first)
-        for agent, row, points in zip(members, rows, breakpoints):
-            # The c below c_min have H(c) = lo.
-            values = c_min - 1 + np.searchsorted(points, offsets, side="right")
-            if first < g_b:
-                # An int64 rest searches a view of the profile's row, so the
-                # group's copy is not held for as long as the values live.
-                own = profile.values[agent - 1 : agent, lo - 1 : hi] if fits else row[None]
-                rest = partial(_breakpoints, own, g_b, n_left, n_right, first + 1, g_b)
-                values = _CutValues(values, int(points[-1]), rest)
-            cuts.append(values)
+            row = row.astype(object)
+        points = _breakpoints(row, g_b, n_left, n_right, 1, first)
+        # The c below c_min have H(c) = lo.
+        values = c_min - 1 + np.searchsorted(points, offsets, side="right")
+        if first < g_b:
+            rest = partial(_breakpoints, row, g_b, n_left, n_right, first + 1, g_b)
+            values = _CutValues(values, int(points[-1]), rest)
+        cuts.append(values)
     return cuts
 
 
@@ -527,7 +501,7 @@ class _CutValues:
     def __getitem__(self, key: slice) -> np.ndarray:
         offsets = range(*key.indices(len(self._values)))
         if offsets and max(offsets[0], offsets[-1]) >= self.ready:
-            (rest,) = self._search_rest()
+            rest = self._search_rest()
             # The new breakpoints all lie at or past `ready`: no value below it changes.
             self._values += np.searchsorted(rest, np.arange(len(self._values)), side="right")
             self.ready, self._search_rest = len(self._values), None

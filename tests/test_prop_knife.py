@@ -184,7 +184,7 @@ def test_scan_stays_exact_past_int64(rng):
 
 
 def test_cut_queries_past_the_fit_bound_equal_f_value(monkeypatch, rng):
-    # Rows near 2**62, int64 but past the bound max_v * n * m *
+    # Rows near 2**62, int64 but past the bound max_v * m *
     # max(n_left, n_right) < 2**62, and at 2**63 + 1, stored as Python
     # ints: every step runs on object rows, and every agent's values equal
     # f_value at every h.
@@ -202,11 +202,11 @@ def test_cut_queries_past_the_fit_bound_equal_f_value(monkeypatch, rng):
             cells = rng.integers(0, 6, size=(3, m)).tolist()
             rows = [[top - v if v < 4 else 0 for v in row] for row in cells]
             p = UtilityProfile.additive(rows)
-            assert p.max_value * p.n * p.m * p.n >= 2**62
             assert p.values.dtype == (object if top > 2**63 else np.int64)
             lo = int(rng.integers(1, m + 1))
             hi = int(rng.integers(lo, m + 1))
             n_left, n_right = (int(v) for v in rng.choice([1, 2, 3], size=2))
+            assert p.max_value * p.m * max(n_left, n_right) >= 2**62
             for g_b in (1, 2, 5, hi - lo + 2):
                 cuts = prop_knife._cut_queries(p, (1, 2, 3), lo, hi, g_b, n_left, n_right)
                 for agent, values in zip((1, 2, 3), cuts):
@@ -223,6 +223,35 @@ def test_the_fit_bound_reads_the_group_sizes_not_the_agent_count():
     p = UtilityProfile.additive([[0, 2**61 - 1]])
     (cuts,) = prop_knife._cut_queries(p, (1,), 1, 2, 1, 1, 2)
     assert list(cuts) == [f_value(p, 1, 1, 2, h, 1, 1, 2) for h in (1, 2)] == [0, 1]
+
+
+def test_the_fit_bound_does_not_count_the_other_rows(monkeypatch):
+    # Four agents split 2 and 2 over four items just below 2**58.  Sums
+    # over all four rows laid end to end, weighted by 2, could reach 2**63,
+    # but no sum spans two rows, and one row's stay below 2**61: the rows
+    # stay int64.
+    dtypes = []
+    original = prop_knife._breakpoints
+
+    def logged(row, *rest):
+        dtypes.append(row.dtype)
+        return original(row, *rest)
+
+    monkeypatch.setattr(prop_knife, "_breakpoints", logged)
+    top = 2**58 - 1
+    p = UtilityProfile.additive(
+        [[top, 0, top - 1, top], [0, top, top, 0], [top - 2, top - 2, 0, top], [top, top, top, top]]
+    )
+    assert p.max_value * p.n * p.m * 2 >= 2**62 > p.max_value * p.m * 2
+    for g_b in (1, 2, 3, 5):
+        for lo in range(1, 5):
+            for hi in range(lo, 5):
+                cuts = prop_knife._cut_queries(p, p.agents, lo, hi, g_b, 2, 2)
+                assert [list(values) for values in cuts] == [
+                    [f_value(p, agent, lo, hi, h, g_b, 2, 2) for h in range(lo, hi + 1)]
+                    for agent in p.agents
+                ]
+    assert dtypes and all(dtype == np.int64 for dtype in dtypes)
 
 
 def test_cut_queries_of_an_empty_range_are_empty():
@@ -622,17 +651,13 @@ def test_breakpoint_scan_matches_freshly_sorted_pieces(size, distinct, n_left, n
 @given(
     n=st.integers(min_value=1, max_value=5),
     size=st.integers(min_value=1, max_value=30),
-    group_items=st.integers(min_value=1, max_value=60),
-    group_search=st.integers(min_value=1, max_value=40),
     n_left=st.integers(min_value=1, max_value=4),
     n_right=st.integers(min_value=1, max_value=4),
     data=st.data(),
 )
-def test_grouped_cut_queries_equal_each_agents_f_value(
-    n, size, group_items, group_search, n_left, n_right, data
-):
-    # Small group bounds split a step's agents into groups of any size, and
-    # rows near 2**70 put int64 rows into object-dtype groups.
+def test_cut_queries_equal_each_agents_f_value(n, size, n_left, n_right, data):
+    # Any subset of a step's agents, and rows near 2**70 among int64 rows:
+    # each agent's values come from its own row, in its own dtype.
     def row():
         wide = data.draw(st.booleans())
         items = st.integers(min_value=0, max_value=4).map(lambda v: 2**70 + v if wide and v else v)
@@ -643,42 +668,31 @@ def test_grouped_cut_queries_equal_each_agents_f_value(
     hi = data.draw(st.integers(min_value=lo, max_value=size))
     agents = tuple(sorted(data.draw(st.sets(st.integers(1, n), min_size=1))))
     g_b = data.draw(st.integers(min_value=1, max_value=3) | st.integers(min_value=1, max_value=hi - lo + 3))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(prop_knife, "_GROUP_ITEMS", group_items)
-        patch.setattr(prop_knife, "_GROUP_SEARCH", group_search)
-        cuts = prop_knife._cut_queries(p, agents, lo, hi, g_b, n_left, n_right)
+    cuts = prop_knife._cut_queries(p, agents, lo, hi, g_b, n_left, n_right)
     assert [list(values) for values in cuts] == [
         [f_value(p, agent, lo, hi, h, g_b, n_left, n_right) for h in range(lo, hi + 1)]
         for agent in agents
     ]
 
 
-@pytest.mark.parametrize(
-    "size, g_b, groups",
-    [
-        (1500, 304, [5]),  # first chunks of c <= 152: 1024 // 152 = 6 agents
-        (1500, 136, [5]),
-        # Past the range no c <= g_b // 2 is searched, so each row's first
-        # chunk holds all L - 1 = 599 values of c.
-        (600, 2000, [1] * 5),
-        (6000, 40, [2, 2, 1]),  # 2**14 // 6000 = 2 agents' rows
-        (20000, 40, [1] * 5),
-        (1500, 608, [3, 2]),  # 1024 // 304 = 3 agents search at most 2**10 values of c
-    ],
-)
-def test_cut_queries_group_agents_under_both_bounds(monkeypatch, size, g_b, groups):
-    built = []
+def test_knife_allocate_shape_passes_views_of_the_profile_rows(monkeypatch):
+    # Each agent's row reaches _breakpoints as a view of the profile's
+    # int64 values, so a step copies no row.
+    rows = []
     original = prop_knife._breakpoints
 
-    def logged(rows, *rest):
-        built.append(len(rows))
-        return original(rows, *rest)
+    def logged(row, *rest):
+        rows.append(row)
+        return original(row, *rest)
 
     monkeypatch.setattr(prop_knife, "_breakpoints", logged)
-    p = bernoulli_profile(5, size, RandomStream(size))
-    cuts = prop_knife._cut_queries(p, (1, 2, 3, 4, 5), 1, size, g_b, 3, 2)
-    assert built == groups
-    assert [len(values) for values in cuts] == [size] * 5
+    params = PrivacyParams(epsilon=2.0, beta=0.1, svt_constant=1.0)
+    for seed in range(3):
+        p = bernoulli_profile(5, 1500, RandomStream(seed, (1,)))
+        rows.clear()
+        dp_moving_knife(p, params, RandomStream(seed, (2,)))
+        assert len(rows) >= p.n
+        assert all(row.dtype == np.int64 and np.shares_memory(row, p.values) for row in rows)
 
 
 @pytest.mark.parametrize("g_b", [40, 400, 1003])
@@ -767,14 +781,14 @@ def test_knife_allocate_shape_settles_every_cut_by_counts(monkeypatch):
 
 
 def _logged_extensions(monkeypatch):
-    # Logs every search past a source's first chunk of c, one entry per row.
+    # Logs every search past a source's first chunk of c, one row per call.
     rows = []
     original = prop_knife._breakpoints
 
-    def logged(rows_searched, g_b, n_left, n_right, c_from, c_to):
+    def logged(row, g_b, n_left, n_right, c_from, c_to):
         if c_from > 1:
-            rows.extend(rows_searched)
-        return original(rows_searched, g_b, n_left, n_right, c_from, c_to)
+            rows.append(row)
+        return original(row, g_b, n_left, n_right, c_from, c_to)
 
     monkeypatch.setattr(prop_knife, "_breakpoints", logged)
     return rows
@@ -793,9 +807,10 @@ def _logged_extensions(monkeypatch):
 def test_lazy_cut_values_equal_f_value_in_any_pieces(
     top, size, agents, g_b, n_left, n_right, data
 ):
-    # Values near 2**61 put the rows into an object-dtype group.  A source
-    # is read whole or in pieces taken in random order; no piece ends at
-    # its first chunk's end, so one piece crosses H(g_b // 2).
+    # Values near 2**61 put the rows past the fit bound, into object dtype,
+    # where size * max(n_left, n_right) > 2.  A source is read whole or in
+    # pieces taken in random order; no piece ends at its first chunk's end,
+    # so one piece crosses H(g_b // 2).
     items = st.integers(min_value=0, max_value=top - 1)
     if top == 2**61:
         items = st.integers(min_value=0, max_value=3).map(lambda v: 2**61 - v if v else 0)
