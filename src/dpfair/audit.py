@@ -254,10 +254,12 @@ def anti_concentration_check(
         raise ValueError("lemma must be '2.10' or '2.11'")
     if k < 100:
         raise ValueError("the bounds are stated for k >= 100")
+    if k >= 2**63:
+        raise ValueError(f"k={k} is past the 2**63 - 1 coins numpy's binomial draws")
     if trials < 1:
         raise ValueError("need at least one trial")
     if lemma == "2.11":
-        if gamma is None or not 2 <= gamma <= 2 ** (k / 4):
+        if gamma is None or not (2 <= gamma and math.log2(gamma) <= k / 4):
             raise ValueError("gamma must lie in [2, 2^(k/4)]")
         threshold = k / 2 + 0.1 * math.sqrt(k * math.log(gamma))
     else:

@@ -269,10 +269,13 @@ def _additive_scores(profile: UtilityProfile, g: int, bounds: SpanBounds) -> np.
 
 
 def scoring_truncation_budget(m: int, n: int, epsilon: float, beta: float) -> int:
-    """The truncation budget g = 4 * ceil(1 + log((mn)^n / beta) / epsilon)."""
+    """The truncation budget g = 4 * ceil(1 + log((mn)^n / beta) / epsilon), below 2**63."""
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and n >= 1")
-    return 4 * math.ceil(1 + (n * math.log(m * n) - math.log(beta)) / epsilon)
+    x = 1 + (n * math.log(m * n) - math.log(beta)) / epsilon
+    if not (math.isfinite(x) and 4 * math.ceil(x) < 2**63):  # the scores are int64
+        raise ValueError(f"epsilon={epsilon} and beta={beta} give a budget g >= 2**63")
+    return 4 * math.ceil(x)
 
 
 @dataclass(frozen=True, eq=False)

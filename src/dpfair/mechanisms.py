@@ -27,15 +27,16 @@ class RandomStream:
     stream is single-owner: its draws come from one stateful generator.
 
     The uniforms that :func:`sample_laplace` and :func:`above_threshold`
-    read come from a read-ahead buffer: ``generator.random(size)`` yields
-    the same doubles as ``size`` one-at-a-time draws, so a read is the next
-    buffered double and a step back is a move of the read position.  A
-    read past the buffer draws the next 256 doubles, or its whole block if
-    that is longer.  The :attr:`generator` property first puts the
-    generator where one-at-a-time draws would have left it, so buffered
-    reads and direct generator calls interleave as if every uniform had
-    been drawn alone.  A generator taken from the property stays in step
-    only until the next buffered read.
+    read come from a read-ahead buffer, one read-only array:
+    ``generator.random(size)`` yields the same doubles as ``size``
+    one-at-a-time draws, so a read is the next buffered double and moves
+    only the read position.  A read past the buffer draws the next 256
+    doubles, or all that the read asks for if that is more.  The
+    :attr:`generator` property first puts the generator where
+    one-at-a-time draws would have left it, so buffered reads and direct
+    generator calls interleave as if every uniform had been drawn alone.
+    A generator taken from the property stays in step only until the next
+    buffered read.
     """
 
     def __init__(self, seed: int, stream_id: int | tuple[int, ...] = ()):
@@ -44,11 +45,9 @@ class RandomStream:
             stream_id = (stream_id,)
         self.path = tuple(int(x) for x in stream_id)
         self._generator: Optional[np.random.Generator] = None
-        # The buffer as a read-only array, and as a list for scalar reads,
-        # the read position in it and the generator's state before it was
-        # drawn (None while no buffer is held).
+        # The buffer as a read-only array, the read position in it and the
+        # generator's state before it was drawn (None while no buffer is held).
         self._block: np.ndarray = np.empty(0)
-        self._values: list[float] = []
         self._position = 0
         self._saved: Optional[dict] = None
 
@@ -70,7 +69,7 @@ class RandomStream:
                 self._generator.bit_generator.state = self._saved
                 self._generator.random(self._position)
             self._saved = None
-            self._block, self._values, self._position = np.empty(0), [], 0
+            self._block, self._position = np.empty(0), 0
         return self._generator
 
     def _reserve(self, count: int) -> int:
@@ -83,26 +82,13 @@ class RandomStream:
         self._saved = generator.bit_generator.state
         self._block = generator.random(max(count, _READ_AHEAD))
         self._block.flags.writeable = False
-        self._values = self._block.tolist()
         return 0
 
     def uniform(self) -> float:
         """The next uniform in [0, 1), as ``generator.random()`` would draw it."""
         position = self._reserve(1)
         self._position = position + 1
-        return self._values[position]
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """The next ``count`` uniforms, as a read-only view of the buffer."""
-        position = self._reserve(count)
-        self._position = position + count
-        return self._block[position : position + count]
-
-    def step_back(self, count: int) -> None:
-        """Unread ``count`` uniforms of the last read, so they are read again next."""
-        if not 0 <= count <= self._position:
-            raise ValueError(f"cannot step back {count} of {self._position} buffered reads")
-        self._position -= count
+        return self._block.item(position)
 
     def child(self, index: int) -> "RandomStream":
         """Independent substream; ``child(i)`` is stable across runs."""
@@ -199,8 +185,9 @@ def exponential_mechanism(
 
 
 # above_threshold reads an ndarray, or a source that declares `ready`, in
-# slices of at most _SVT_BLOCK queries.  A slice shorter than _SVT_SCALAR is compared one query at a time,
-# so a short read never pays a numpy block's fixed cost.  numpy's log1p may
+# slices of at most _SVT_BLOCK queries.  A slice shorter than _SVT_SCALAR is
+# compared one query at a time on `.item()` reads of the stream's buffer, so a
+# short read never pays a numpy block's fixed cost.  numpy's log1p may
 # differ from math.log1p in the last bit, so a block decision within a
 # relative _SVT_MARGIN of the threshold is remade with the scalar transform.
 _SVT_SCALAR = 32
@@ -227,9 +214,10 @@ def above_threshold(
     values are ready and the rest are computed on demand -- is read in
     consecutive slices of at most 4096 queries, and no slice crosses
     ``ready``, so the rest is read only when no query before it is
-    selected.  A slice of 32 or more is compared as one numpy block of
-    uniforms read ahead by the stream; on acceptance inside it the stream
-    steps back over the uniforms past the selected query.  Any other source
+    selected.  Each slice reserves its uniforms in the stream's buffer
+    once; a slice of 32 or more is compared as one numpy block on a view
+    of them, and the read position then moves past the selected query, or
+    past the slice when none is selected.  Any other source
     (a list, tuple, range, deque or generator) is consumed lazily, one query
     at a time and never past the selected index, so callers may pass a
     generator whose elements are expensive to evaluate.
@@ -252,21 +240,20 @@ def above_threshold(
         stop = start + _SVT_BLOCK
         block = queries[start : ready if start < ready < stop else stop]
         size = len(block)
+        first = stream._reserve(size)
         if size < _SVT_SCALAR:
-            first = position = stream._reserve(size)
-            uniforms = stream._values
+            index, uniform, position = None, stream._block.item, first
             for value in block.tolist():
-                noise = _laplace(uniforms[position], scale)
+                if value + _laplace(uniform(position), scale) >= threshold:
+                    index = position - first
+                    break
                 position += 1
-                if value + noise >= threshold:
-                    stream._position = position
-                    return SvtOutcome(start + position - first - 1, start + position - first)
-            stream._position = position
         else:
-            index = _first_above(block, stream.uniforms(size), threshold, scale)
-            if index is not None:
-                stream.step_back(size - index - 1)
-                return SvtOutcome(start + index, start + index + 1)
+            index = _first_above(block, stream._block[first : first + size], threshold, scale)
+        if index is not None:
+            stream._position = first + index + 1
+            return SvtOutcome(start + index, start + index + 1)
+        stream._position = first + size
         start += size
     return SvtOutcome(None, length)
 

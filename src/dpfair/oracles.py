@@ -33,7 +33,7 @@ from .ef_em import (
     scoring_truncation_budget,
 )
 from .mechanisms import em_weights
-from .prop_knife import f_value
+from .prop_knife import _group_sizes, f_value
 
 SENSITIVITY_UNIVERSE_MAX_CELLS = 8
 
@@ -169,8 +169,7 @@ def audit_f_sensitivity(m: int, n: int, g_b: int) -> SensitivityReport:
     allocator's top-level halving.  The witness is
     ``(p1, p2, (agent, lo, hi, h))``.
     """
-    n_right = max(n // 2, 1)
-    n_left = max(n - n_right, 1)
+    n_left, n_right = _group_sizes(max(n, 2))
     positions = [
         (agent, lo, hi, h)
         for agent in range(1, n + 1)

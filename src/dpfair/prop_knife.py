@@ -32,6 +32,8 @@ _FAN_OUT = 4
 _SEARCH_CHUNK = 8192
 # knife_samples keeps at most this many recursion steps and as many runs.
 _MEMO_CAP = 256
+# A call on some number of agents: its level b, epsilon_b, g_b, n_left and n_right.
+_Step = tuple[int, float, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,13 @@ def exact_budget_total(epsilon: float, levels: Iterable[int]) -> Fraction:
 
 
 def truncation_budget(m: int, n: int, epsilon_b: float, beta: float, upsilon: float) -> int:
-    """Per-level truncation budget g_b = 8 * ceil(upsilon * log(mn/beta) / epsilon_b)."""
-    return 8 * math.ceil(upsilon * math.log(m * n / beta) / epsilon_b)
+    """Per-level truncation budget g_b = 8 * ceil(upsilon * log(mn/beta) / epsilon_b) < 2**62."""
+    x = upsilon * math.log(m * n / beta) / epsilon_b
+    if not (math.isfinite(x) and 8 * math.ceil(x) < 2**62):  # a cut's g_b + c is int64
+        raise ValueError(
+            f"epsilon_b={epsilon_b}, beta={beta} and svt_constant={upsilon} give g_b >= 2**62"
+        )
+    return 8 * math.ceil(x)
 
 
 def budget_schedule(
@@ -320,14 +327,9 @@ def knife_samples(
     """
     if profile.kind != "additive":
         raise ValueError(_ADDITIVE_ONLY)
-    schedule = budget_schedule(profile.m, profile.n, params)
-    # A call on `size` agents: its level b, (epsilon_b, g_b) and group sizes.
-    steps = {}
+    steps = _knife_steps(profile.m, profile.n, params)
     roots: list[np.ndarray | _CutValues] = []
-    if schedule:
-        for size in range(2, profile.n + 1):
-            b = math.ceil(math.log2(size))
-            steps[size] = (b, *schedule[b], *_group_sizes(size))
+    if steps:
         _, _, g_b, n_left, n_right = steps[profile.n]
         roots = _cut_queries(profile, tuple(profile.agents), 1, profile.m, g_b, n_left, n_right)
     memo: dict[tuple, KnifeRecord] = {}
@@ -340,9 +342,21 @@ def _group_sizes(size: int) -> tuple[int, int]:
     return size - size // 2, size // 2
 
 
+def _knife_steps(m: int, n: int, params: PrivacyParams) -> dict[int, _Step]:
+    # The _Step of a call on `size` agents, for size = 2..n in ascending
+    # order.  Empty for n = 1 or m = 0.
+    schedule = budget_schedule(m, n, params)
+    steps = {}
+    if schedule:
+        for size in range(2, n + 1):
+            b = math.ceil(math.log2(size))
+            steps[size] = (b, *schedule[b], *_group_sizes(size))
+    return steps
+
+
 def _knife_run(
     profile: UtilityProfile,
-    steps: dict[int, tuple[int, float, int, int, int]],
+    steps: dict[int, _Step],
     roots: list[np.ndarray | _CutValues],
     stream: RandomStream,
     memo: dict[tuple, KnifeRecord],
@@ -516,22 +530,9 @@ def proof_chain_c(m: int, n: int, params: PrivacyParams) -> int:
     path.  This is the quantity the high-probability analysis controls, with
     no asymptotic constants hidden.
     """
-    if n == 1 or m == 0:
-        return 0
-    schedule = budget_schedule(m, n, params)
-    worst = 0
-
-    def walk(size: int, acc: int) -> None:
-        nonlocal worst
-        if size == 1:
-            worst = max(worst, acc)
-            return
-        b = math.ceil(math.log2(size))
-        _, g_b = schedule[b]
-        term = -(-2 * g_b // size)  # ceil(2 g_b / size) in integers
-        n_left, n_right = _group_sizes(size)
-        walk(n_left, acc + term)
-        walk(n_right, acc + term)
-
-    walk(n, 0)
-    return worst
+    # chain[size]: the worst path from a call on `size` agents, each step
+    # adding ceil(2 g_b / size) in integers.
+    chain = {1: 0}
+    for size, (_, _, g_b, n_left, n_right) in _knife_steps(m, n, params).items():
+        chain[size] = -(-2 * g_b // size) + max(chain[n_left], chain[n_right])
+    return chain.get(n, 0)  # 0 for n = 1 or m = 0

@@ -243,6 +243,21 @@ def test_anti_concentration_validation():
         anti_concentration_check("2.11", 100, 1.5, 10, RandomStream(0))
 
 
+def test_upper_tail_takes_every_k_it_states():
+    # 2 ** (k / 4) overflows a float from k ~ 4100, so the range is checked on logs.
+    assert anti_concentration_check("2.11", 20_000, 3.0, 100, RandomStream(11)).trials == 100
+    anti_concentration_check("2.11", 100, 2.0**25, 10, RandomStream(0))
+    with pytest.raises(ValueError, match="gamma"):
+        anti_concentration_check("2.11", 100, 2.0**25 * 1.000001, 10, RandomStream(0))
+
+
+def test_anti_concentration_rejects_a_k_past_numpys_binomial():
+    assert anti_concentration_check("2.10", 2**63 - 1, None, 10, RandomStream(0)).trials == 10
+    for lemma, gamma in (("2.10", None), ("2.11", 3.0)):
+        with pytest.raises(ValueError, match="k="):
+            anti_concentration_check(lemma, 2**63, gamma, 10, RandomStream(0))
+
+
 def test_anti_concentration_deterministic():
     a = anti_concentration_check("2.10", 100, None, 50_000, RandomStream(10))
     b = anti_concentration_check("2.10", 100, None, 50_000, RandomStream(10))

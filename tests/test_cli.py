@@ -669,6 +669,36 @@ def test_enum_cap_exceeded_exits_two_naming_the_cap(tmp_path, capsys):
     assert "3" in err and "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["allocate-ef", "--instance", "I", "--epsilon", "1e-18"], "epsilon"),
+        (["allocate-ef", "--instance", "I", "--epsilon", "1e-320"], "epsilon"),
+        (["allocate-prop", "--instance", "I", "--epsilon", "1e-320"], "epsilon"),
+        (["allocate-prop", "--instance", "I", "--epsilon", "2.8e-16"], "epsilon"),
+        (["oracle", "em-dist", "--instance", "I", "--epsilon", "1e-320"], "epsilon"),
+        (["allocate-prop", "--instance", "I", "--beta", "1e-320"], "beta"),
+        (["allocate-prop", "--instance", "I", "--svt-constant", "1e300"], "svt_constant"),
+        (["sweep", "--ns", "2", "--ms", "4", "--epsilons", "1e-300", "--betas", "0.1"],
+         "epsilon"),
+        (["sweep", "--algorithm", "prop", "--ns", "2", "--ms", "4", "--epsilons", "1e-300",
+          "--betas", "0.1"], "epsilon"),
+    ],
+)
+def test_a_budget_past_the_integer_arithmetic_exits_two(argv, named, tmp_path, capsys):
+    path = write_instance(tmp_path, "i.json", [[1, 0, 1, 1], [0, 1, 1, 0]])
+    code, out, err = run_cli([path if arg == "I" else arg for arg in argv], capsys)
+    assert code == 2 and out == "" and named in err
+
+
+def test_anti_concentration_takes_a_large_k_and_rejects_one_past_numpy(capsys):
+    argv = ["audit", "anti-concentration", "--lemma", "2.11", "--gamma", "3", "--k"]
+    code, out, _ = run_cli([*argv, "20000"], capsys)
+    assert code == 0 and json.loads(out)["result"]["passed"]
+    code, out, err = run_cli([*argv, "100000000000000000000"], capsys)
+    assert code == 2 and out == "" and "k=" in err
+
+
 def test_usage_error_exits_two(capsys):
     assert run_cli(["allocate-ef"], capsys)[0] == 2  # missing --instance
     assert run_cli(["no-such-command"], capsys)[0] == 2

@@ -334,6 +334,15 @@ def test_scoring_truncation_budget_example():
     assert scoring_truncation_budget(4, 2, 2.0, 0.1) == 20
 
 
+def test_scoring_truncation_budget_stops_below_2_to_63():
+    # g = 4 * ceil(1 + y / epsilon); the int64 scores hold g up to 2**63 - 1.
+    y = 2 * math.log(4 * 2) - math.log(0.1)  # n log(mn) - log(beta) for m = 4, n = 2
+    assert 2**63 - 2**14 < scoring_truncation_budget(4, 2, y * 2.0**-61 * (1 + 2**-50), 0.1) < 2**63
+    for epsilon in (y * 2.0**-61, 1e-18, 1e-320):  # g = 2**63, past it, infinite
+        with pytest.raises(ValueError, match="epsilon=.*beta="):
+            scoring_truncation_budget(4, 2, epsilon, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # the full allocator
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ def test_bernoulli_rows_equal_one_draw_and_leave_the_same_state():
         generator = reference.generator
         assert profile.values.tolist() == generator.integers(0, 2, size=(n, m)).tolist()
         assert stream.generator.bit_generator.state == generator.bit_generator.state
-        assert stream.uniforms(5).tolist() == reference.uniforms(5).tolist()
+        assert [stream.uniform() for _ in range(5)] == [reference.uniform() for _ in range(5)]
 
 
 def test_bernoulli_profile_cells_uncorrelated_across_seeds():

@@ -56,36 +56,20 @@ class _OneAtATime:
 
     def __init__(self, seed):
         self.generator = RandomStream(seed).generator
-        self._restart()
-
-    def _restart(self):
-        self.start = self.generator.bit_generator.state
-        self.drawn = []  # uniforms drawn since `start`
-        self.read = 0  # how many of them were read and not stepped back over
 
     def uniform(self):
-        if self.read == len(self.drawn):
-            self.drawn.append(self.generator.random())
-        self.read += 1
-        return self.drawn[self.read - 1]
-
-    def step_back(self, count):
-        self.read -= count
-
-    def settled(self):
-        # The generator after exactly the uniforms read, drawn one at a time.
-        if self.read < len(self.drawn):
-            self.generator.bit_generator.state = self.start
-            for _ in range(self.read):
-                self.generator.random()
-        self.drawn = self.drawn[: self.read]
-        return self.generator
+        return self.generator.random()
 
 
 _STREAM_OPS = st.one_of(
     st.tuples(st.just("uniform"), st.integers(1, 300)),
-    st.tuples(st.just("uniforms"), st.integers(0, 3000)),
-    st.tuples(st.just("step_back"), st.integers(0, 3000)),
+    # An SVT over a short slice, compared query by query, or a long one,
+    # compared as a block; tau sets how often a query is selected.
+    st.tuples(
+        st.just("svt"),
+        st.one_of(st.integers(1, 31), st.integers(32, 600)),
+        st.sampled_from([0.0, 25.0, 60.0]),
+    ),
     st.tuples(st.just("random"), st.integers(0, 50)),
     st.tuples(st.just("int32"), st.integers(1, 3)),
 )
@@ -94,52 +78,31 @@ _STREAM_OPS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(ops=st.lists(_STREAM_OPS, max_size=40), seed=st.integers(min_value=0, max_value=2**32))
 # A scalar run that spends the read-ahead exactly, and one that refills it
-# by one read, each followed by a block read and a direct generator call.
-@example(ops=[("uniform", _READ_AHEAD), ("uniforms", 10), ("random", 5)], seed=5)
-@example(ops=[("uniform", _READ_AHEAD + 1), ("uniforms", 10), ("random", 5)], seed=5)
+# by one read, each followed by SVT reads and a direct generator call.
+@example(ops=[("uniform", _READ_AHEAD), ("svt", 10, 60.0), ("random", 5)], seed=5)
+@example(ops=[("uniform", _READ_AHEAD + 1), ("svt", 40, 25.0), ("random", 5)], seed=5)
 def test_read_ahead_equals_one_at_a_time_draws(ops, seed):
-    # Scalar reads, block reads, step-backs over (part of) the last read, and
-    # direct generator calls, one of which may leave a buffered 32-bit half,
-    # read the values of a twin that draws each uniform alone and leave the
+    # Scalar reads, SVT reads of short and long slices, and direct
+    # generator calls, one of which may leave a buffered 32-bit half, read
+    # the values of a twin that draws each uniform alone and leave the
     # generator in the twin's state.
     stream, twin = RandomStream(seed), _OneAtATime(seed)
-    last = 0  # uniforms of the last read that may still be stepped back over
-    for op, size in ops:
+    for op, size, *tau in ops:
         if op == "uniform":
             for _ in range(size):
                 assert stream.uniform() == twin.uniform()
-            last = 1
-        elif op == "uniforms":
-            block = stream.uniforms(size)
-            assert block.tolist() == [twin.uniform() for _ in range(size)]
-            last = size
-        elif op == "step_back":
-            count = min(size, last)
-            stream.step_back(count)
-            twin.step_back(count)
-            last -= count
+        elif op == "svt":
+            queries = np.linspace(0.0, 10.0, size)
+            assert above_threshold(stream, queries, *tau, 1.0) == reference_above_threshold(
+                twin, queries.tolist(), *tau, 1.0
+            )
+        elif op == "random":
+            assert stream.generator.random(size).tolist() == twin.generator.random(size).tolist()
         else:
-            generator, reference = stream.generator, twin.settled()
-            if op == "random":
-                assert generator.random(size).tolist() == reference.random(size).tolist()
-            else:
-                assert generator.integers(0, 10**6, size, dtype=np.int32).tolist() == (
-                    reference.integers(0, 10**6, size, dtype=np.int32).tolist()
-                )
-            twin._restart()
-            last = 0
-    assert stream.generator.bit_generator.state == twin.settled().bit_generator.state
-
-
-def test_step_back_stays_inside_the_buffer():
-    stream = RandomStream(3)
-    with pytest.raises(ValueError):
-        stream.step_back(1)
-    first = stream.uniforms(5).tolist()
-    stream.step_back(5)
-    assert stream.uniforms(5).tolist() == first
-    with pytest.raises(ValueError):
-        stream.step_back(6)
+            assert stream.generator.integers(0, 10**6, size, dtype=np.int32).tolist() == (
+                twin.generator.integers(0, 10**6, size, dtype=np.int32).tolist()
+            )
+    assert stream.generator.bit_generator.state == twin.generator.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,32 @@ def test_schedule_g_values_are_positive_multiples_of_eight():
     assert schedule[1][1] == 696 and schedule[2][1] == 1040
 
 
+def test_truncation_budget_stops_below_2_to_62():
+    # g_b = 8 * ceil(upsilon * L / epsilon_b); past 2**62 a cut's g_b + c wraps int64.
+    L = math.log(4 * 2 / 0.1)  # log(mn / beta) for m = 4, n = 2
+    g_b = prop_knife.truncation_budget(4, 2, L, 0.1, 2.0**59 * (1 - 2**-40))
+    assert 2**62 - 2**24 < g_b < 2**62
+    for epsilon_b, beta, upsilon in ((L, 0.1, 2.0**59), (1e-320, 0.1, 1.0), (1.0, 1e-320, 1.0)):
+        with pytest.raises(ValueError, match="epsilon_b=.*beta=.*svt_constant="):
+            prop_knife.truncation_budget(4, 2, epsilon_b, beta, upsilon)
+    for params in (
+        PrivacyParams(epsilon=2.8e-16),  # g_b = 6009636527552750592 at the root
+        PrivacyParams(epsilon=1.0, svt_constant=1e300),
+    ):
+        with pytest.raises(ValueError, match="svt_constant"):
+            dp_moving_knife(UtilityProfile.additive([[1, 0, 1, 1], [0, 1, 1, 0]]), params,
+                            RandomStream(0))
+
+
+def test_cut_values_just_below_the_budget_bound_equal_f_value():
+    profile = UtilityProfile.additive([[1, 0, 1, 1], [0, 1, 1, 0]])
+    g_b = 2**62 - 8
+    cuts = prop_knife._cut_queries(profile, (1, 2), 1, 4, g_b, 1, 1)
+    for agent, values in zip((1, 2), cuts):
+        expected = [f_value(profile, agent, 1, 4, h, g_b, 1, 1) for h in range(1, 5)]
+        assert values[:].tolist() == expected
+
+
 # ---------------------------------------------------------------------------
 # the cut-acceptance function
 # ---------------------------------------------------------------------------
