@@ -280,9 +280,9 @@ def _check_agent(profile: UtilityProfile, agent: int) -> None:
 
 def _as_item_tuple(profile: UtilityProfile, items: Iterable[int]) -> tuple[int, ...]:
     out = tuple(items)
-    for j in out:
-        if not 1 <= j <= profile.m:
-            raise IndexError(f"item {j} out of range [1, {profile.m}]")
+    if out and not 1 <= min(out) <= max(out) <= profile.m:
+        bad = next(j for j in out if not 1 <= j <= profile.m)
+        raise IndexError(f"item {bad} out of range [1, {profile.m}]")
     return out
 
 

@@ -41,6 +41,8 @@ DEFAULT_ENUMERATION_CAP = 10**7
 # bounds them however large the candidate set, g or the rows' value sets are.
 _SCORE_BLOCK_CELLS = 1 << 16
 SpanBounds = tuple[np.ndarray, np.ndarray]  # (starts, ends); see _span_bounds
+# Candidates decoded at a time; larger blocks keep more objects alive across GC passes.
+_ENUMERATION_BLOCK = 1 << 8
 
 
 @dataclass(frozen=True)
@@ -78,38 +80,26 @@ def count_connected_allocations(m: int, n: int) -> int:
 
 
 def enumerate_connected_allocations(m: int, n: int) -> Iterator[ConnectedAllocation]:
-    """Yield every distinct connected allocation exactly once.
+    """Yield every distinct connected allocation exactly once, in candidate order.
 
-    An allocation is determined by which ``k`` agents receive nonempty
-    intervals, their left-to-right order, and a composition of ``m`` into
-    ``k`` positive parts; compositions are encoded as cut positions.  This
-    loop order is the candidate order, which :func:`_span_bounds` follows.
+    The order is that of :func:`_span_bounds`; the candidates are decoded
+    ``_ENUMERATION_BLOCK`` columns at a time, so at most that many are held.
     """
-    if m < 0 or n < 1:
-        raise ValueError("need m >= 0 and n >= 1")
-    if m == 0:
-        yield ConnectedAllocation(spans=(None,) * n)
-        return
-    agents = range(1, n + 1)
-    for k in range(1, min(n, m) + 1):
-        for chosen in itertools.combinations(agents, k):
-            for order in itertools.permutations(chosen):
-                for cuts in itertools.combinations(range(1, m), k - 1):
-                    bounds = (0, *cuts, m)
-                    spans: list = [None] * n
-                    for block, agent in enumerate(order):
-                        spans[agent - 1] = (bounds[block] + 1, bounds[block + 1])
-                    yield ConnectedAllocation(spans=tuple(spans))
+    bounds = _span_bounds(m, n)
+    for first in range(0, bounds[0].shape[1], _ENUMERATION_BLOCK):
+        yield from _allocations(*(bound[:, first : first + _ENUMERATION_BLOCK] for bound in bounds))
 
 
 def _span_bounds(m: int, n: int) -> SpanBounds:
     """Every candidate's bundles as 0-based item intervals ``[start, end)``.
 
-    Two ``(n, K)`` arrays in the order of :func:`enumerate_connected_allocations`,
-    built without materializing the candidates; an empty bundle is ``[0, 0)``.
-    Per ``k``, row ``r`` of one ``(comb(m - 1, k - 1), k + 1)`` array is
-    ``(0, *cuts, m)`` for the r-th cut combination, and it serves every
-    left-to-right order of ``k`` bundle holders.
+    Two ``(n, K)`` arrays, one column per candidate; an empty bundle is
+    ``[0, 0)``.  This is the only definition of the candidate order: first
+    ``k``, the number of bundle holders; then which ``k`` agents; then their
+    left-to-right order; then the ``k - 1`` cut positions.  Each step is in
+    itertools order, and ``m = 0`` gives one all-empty column.  Per ``k``,
+    row ``r`` of one ``(comb(m - 1, k - 1), k + 1)`` array is ``(0, *cuts, m)``
+    for the r-th cut combination and serves every order of the holders.
     """
     dtype = np.min_scalar_type(m)
     starts = np.zeros((n, count_connected_allocations(m, n)), dtype=dtype)
@@ -129,6 +119,15 @@ def _span_bounds(m: int, n: int) -> SpanBounds:
                     ends[agent - 1, first:last] = bounds[:, block + 1]
                 first = last
     return starts, ends
+
+
+def _allocations(starts: np.ndarray, ends: np.ndarray) -> list[ConnectedAllocation]:
+    """The candidates whose span bounds are the columns of ``starts`` and ``ends``."""
+    rows = [
+        [(s + 1, e) if s != e else None for s, e in zip(row_starts, row_ends)]
+        for row_starts, row_ends in zip(starts.tolist(), ends.tolist())
+    ]
+    return [ConnectedAllocation(spans=spans) for spans in zip(*rows)]
 
 
 @lru_cache(maxsize=0)  # holds nothing; its cache_info() counts the builds
@@ -192,8 +191,7 @@ def _score_cached(profile: UtilityProfile, g: int) -> tuple[SpanBounds, np.ndarr
     if profile.kind == "additive" and max(map(sum, profile.values.tolist())) < 2**63:
         scores = _additive_scores(profile, g, bounds)
     else:  # general tables, or sums that int64 arithmetic would wrap
-        candidates = enumerate_connected_allocations(profile.m, profile.n)
-        scores = [score(profile, allocation, g) for allocation in candidates]
+        scores = [score(profile, allocation, g) for allocation in _allocations(*bounds)]
     scores = np.asarray(scores, dtype=np.min_scalar_type(-g))
     for array in (*bounds, scores):
         array.flags.writeable = False
@@ -321,22 +319,14 @@ class EfSampler:
 
     def allocation(self, index: int) -> ConnectedAllocation:
         """Candidate ``index``, the ``index``-th of :func:`enumerate_connected_allocations`."""
-        (allocation,) = self._allocations(np.array([index]))
-        return allocation
-
-    def _allocations(self, indices: np.ndarray) -> list[ConnectedAllocation]:
-        # The candidates at `indices`, from one slice of each bound array.
-        starts, ends = (bound[:, indices].T.tolist() for bound in self.bounds)
-        return [
-            ConnectedAllocation(spans=tuple((s + 1, e) if s != e else None for s, e in zip(*spans)))
-            for spans in zip(starts, ends)
-        ]
+        return _allocations(*(bound[:, [index]] for bound in self.bounds))[0]
 
     def counts(self, stream: RandomStream, k: int) -> Counter:
         """How often each allocation occurs among ``k`` draws in turn from one stream."""
         tally = np.bincount(self.draw_many(stream, k), minlength=len(self.scores))
         drawn = np.flatnonzero(tally)
-        return Counter(dict(zip(self._allocations(drawn), tally[drawn].tolist())))
+        allocations = _allocations(*(bound[:, drawn] for bound in self.bounds))
+        return Counter(dict(zip(allocations, tally[drawn].tolist())))
 
     def report(self, index: int) -> EfRunReport:
         """The run report of candidate ``index``, with its certified guarantee."""

@@ -39,6 +39,8 @@ def bernoulli_profile(n: int, m: int, stream: RandomStream) -> UtilityProfile:
 
 def all_zero_profile(n: int, m: int) -> UtilityProfile:
     """The all-zero binary profile."""
+    if n < 1 or m < 0:
+        raise ValueError(f"need n >= 1 and m >= 0, got n={n} and m={m}")
     return UtilityProfile(n=n, m=m, scale=1, values=np.zeros((n, m), dtype=np.int64))
 
 

@@ -26,6 +26,7 @@ from .core import (
 )
 from .ef_em import (
     DEFAULT_ENUMERATION_CAP,
+    _allocations,
     capped_candidates,
     connected_allocation_tuple,
     score,  # not called here; bench/tracing.py expects it bound in this module
@@ -100,10 +101,9 @@ def exact_em_distribution(
     """
     if g is None:
         g = scoring_truncation_budget(profile.m, profile.n, params.epsilon, params.beta)
-    _, scores = scored_candidates(profile, g, enumeration_cap)
+    bounds, scores = scored_candidates(profile, g, enumeration_cap)
     weights = em_weights(scores, params.epsilon)
-    candidates = capped_candidates(profile, enumeration_cap)
-    return {a: float(p) for a, p in zip(candidates, weights / weights.sum())}
+    return {a: float(p) for a, p in zip(_allocations(*bounds), weights / weights.sum())}
 
 
 def binary_profiles(n: int, m: int, scale: int = 1) -> list[UtilityProfile]:
@@ -124,6 +124,8 @@ def _max_adjacent_delta(n: int, m: int, contexts: list, row) -> SensitivityRepor
     adjacent pair is generated once, by flipping a 0-cell of p1 up.  The
     witness is ``(p1, p2, contexts[k])``.
     """
+    if n < 1 or m < 1:  # no cell, so no adjacent pair: the audit would pass vacuously
+        raise ValueError(f"need n >= 1 and m >= 1 to have adjacent pairs, got n={n} and m={m}")
     if n * m > SENSITIVITY_UNIVERSE_MAX_CELLS:
         raise ValueError(
             f"exhaustive audit universe limited to n*m <= {SENSITIVITY_UNIVERSE_MAX_CELLS}"

@@ -691,6 +691,20 @@ def test_a_budget_past_the_integer_arithmetic_exits_two(argv, named, tmp_path, c
     assert code == 2 and out == "" and named in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["audit", "sensitivity", "--which", "score", "--n", "2", "--m", "0"], "m=0"),
+        (["audit", "sensitivity", "--which", "f", "--n", "2", "--m", "0"], "m=0"),
+        (["gen", "all-zero", "--n", "2", "--m", "-1"], "m=-1"),
+        (["gen", "all-zero", "--n", "0", "--m", "2"], "n=0"),
+    ],
+)
+def test_a_shape_with_no_cell_to_audit_or_a_negative_size_exits_two(argv, named, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == "" and named in err
+
+
 def test_anti_concentration_takes_a_large_k_and_rejects_one_past_numpy(capsys):
     argv = ["audit", "anti-concentration", "--lemma", "2.11", "--gamma", "3", "--k"]
     code, out, _ = run_cli([*argv, "20000"], capsys)

@@ -268,6 +268,11 @@ def test_bundle_utility_index_errors():
         bundle_utility(p, 2, [1])
     with pytest.raises(IndexError):
         bundle_utility(p, 1, [3])
+    # The first item out of range is named, whichever end it is past.
+    with pytest.raises(IndexError, match=r"^item 0 out of range \[1, 2\]$"):
+        bundle_utility(p, 1, [2, 0, 5])
+    with pytest.raises(IndexError, match=r"^item 5 out of range \[1, 2\]$"):
+        bundle_utility(p, 1, [1, 5, 0])
 
 
 def test_truncated_utility_examples():

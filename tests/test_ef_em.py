@@ -53,6 +53,29 @@ def test_enumeration_counts():
     assert count_connected_allocations(0, 3) == 1
 
 
+@pytest.mark.parametrize(
+    "m,n,expected",
+    [
+        (
+            3,
+            2,
+            [
+                ((1, 3), None),
+                (None, (1, 3)),
+                ((1, 1), (2, 3)),
+                ((1, 2), (3, 3)),
+                ((2, 3), (1, 1)),
+                ((3, 3), (1, 2)),
+            ],
+        ),
+        (0, 2, [(None, None)]),
+    ],
+)
+def test_enumeration_order_is_pinned(m, n, expected):
+    # k holders, then which agents, then their left-to-right order, then the cuts.
+    assert [a.spans for a in enumerate_connected_allocations(m, n)] == expected
+
+
 def test_enumeration_m2_n2_exhaustive_listing():
     spans = {a.spans for a in enumerate_connected_allocations(2, 2)}
     assert spans == {
@@ -168,6 +191,7 @@ def test_batched_scores_do_not_depend_on_the_block_size(monkeypatch, rng, cells)
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_span_bounds_follow_the_candidate_order(n):
+    # A decode round trip: the enumeration is decoded from these bounds.
     params = PrivacyParams(epsilon=1.0)
     for m in range(9):  # m < n and m = 0 included
         starts, ends = ef_em._span_bounds(m, n)

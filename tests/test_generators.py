@@ -69,6 +69,14 @@ def test_all_zero_profile_properties():
     assert score(zero, allocation, 4) == -1
 
 
+def test_all_zero_profile_names_a_bad_shape():
+    assert all_zero_profile(2, 0).m == 0  # an empty item line is a shape
+    with pytest.raises(ValueError, match=r"n >= 1 and m >= 0, got n=2 and m=-1"):
+        all_zero_profile(2, -1)
+    with pytest.raises(ValueError, match=r"got n=0 and m=2"):
+        all_zero_profile(0, 2)
+
+
 # ---------------------------------------------------------------------------
 # packing families
 # ---------------------------------------------------------------------------

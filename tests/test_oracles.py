@@ -177,6 +177,14 @@ def test_sensitivity_universe_guard():
         audit_score_sensitivity(5, 2, 2)
 
 
+@pytest.mark.parametrize("audit", [audit_score_sensitivity, audit_f_sensitivity])
+@pytest.mark.parametrize("m,n", [(0, 1), (0, 2)])
+def test_a_universe_without_adjacent_pairs_is_rejected(audit, m, n):
+    # No cell means no pair to examine, so a pass would certify nothing.
+    with pytest.raises(ValueError, match=f"n={n} and m={m}"):
+        audit(m, n, 2)
+
+
 def test_binary_profiles_enumeration():
     profiles = binary_profiles(2, 2)
     assert len(profiles) == 16
